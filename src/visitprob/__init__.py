@@ -38,6 +38,7 @@ from visitprob.combinatorics import (
 from visitprob.errors import (
     BackendMismatchError,
     EnumerationGuardError,
+    NumericalError,
     ParameterError,
     VisitProbError,
 )
@@ -112,4 +113,5 @@ __all__ = [
     "ParameterError",
     "BackendMismatchError",
     "EnumerationGuardError",
+    "NumericalError",
 ]

@@ -3,7 +3,8 @@
 Each command echoes its parsed inputs in canonical form (probabilities as
 reduced fractions), so any emitted record can be re-run verbatim and will
 reproduce its results field.  Exit codes: 0 success, 1 validation
-failure, 2 usage error, 3 enumeration guard.
+failure, 2 usage error, 3 enumeration guard, 4 numerical failure (a
+backend overflowed).
 
 Output formats: ``text`` (human), ``json`` (one self-describing object per
 invocation, schema_version "1"), ``csv`` (a projection of the JSON rows,
@@ -33,6 +34,7 @@ from visitprob.closed_form import (
 from visitprob.errors import (
     BackendMismatchError,
     EnumerationGuardError,
+    NumericalError,
     ParameterError,
     VisitProbError,
 )
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_NUMERICAL = 4
 
 _EXACT_MODE_MAX_N = 64  # default to exact arithmetic up to here, logspace beyond
 
@@ -580,6 +583,9 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ParameterError, BackendMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

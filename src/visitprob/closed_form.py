@@ -21,21 +21,25 @@ nonzero.  With zero-extended binomials the sums may equivalently run to
 N; ``extend_limits=True`` evaluates that way so the equivalence can be
 tested.
 
-Numeric backends: EXACT uses a shared Pascal table and rational powers;
-FLOAT uses incrementally built float binomial rows, cached powers, and
-compensated sums; LOGSPACE forms each term as log-binomials (log-factorial
-differences) plus exponent-weighted log-probabilities, reduced by
-log-sum-exp, which keeps horizons in the thousands stable.
+Numeric backends share one term loop.  Each mode supplies binomial rows
+(Pascal table, incremental doubles, or log-binomials), the powers 0..N of
+each transition probability (running products, or exponent-weighted logs),
+the operator joining a term's factors (product, or sum of logs) and the
+reduction (exact sum, compensated sum, or log-sum-exp, which keeps horizons
+in the thousands stable).  Past N = 1035 the FLOAT binomial products
+overflow and its reduction raises :class:`~visitprob.errors.NumericalError`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery
 from visitprob.combinatorics import BinomialTable, binomial, log_binomial
-from visitprob.errors import ParameterError
+from visitprob.errors import NumericalError, ParameterError
 from visitprob.numerics import (
     NumericMode,
     ProbValue,
@@ -57,8 +61,6 @@ __all__ = [
     "moments",
     "term_census",
 ]
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,39 +103,73 @@ class VisitDistribution:
 # ---------------------------------------------------------------------------
 # Interior-sum term structure, keyed by (start state, final state).
 #
-# Each term j carries two binomial factors (run-placement counts for the S1
-# and S0 self-transitions) and one exponent vector over the four transition
-# types.  Exponents always sum to n-1.
+# Term j of a branch is C(k-1, j+o1) * C(n-k-1, j+o2) (run-placement counts
+# for the S1 and S0 self-transitions) times the monomial
+#
+#     p00**(n-k-j+o00) * p01**(j+o01) * p10**(j+o10) * p11**(k-j+o11)
+#
+# whose exponents always sum to n-1.  Only the offsets differ by branch.
 # ---------------------------------------------------------------------------
+
+_OFFSETS: dict[tuple[State, State], tuple[int, int, int, int, int, int]] = {
+    #                      o1  o2 o00 o01 o10 o11
+    (State.S1, State.S0): (-1, -1,  0, -1,  0,  0),
+    (State.S1, State.S1): ( 0, -1,  0,  0,  0, -1),
+    (State.S0, State.S1): (-1, -1,  0,  0, -1,  0),
+    (State.S0, State.S0): (-1,  0, -1,  0,  0,  0),
+}
 
 
 def _branch_limit(start: State, final: State, k: int, n: int) -> int:
-    if start is State.S1:
-        if final is State.S0:
-            return min(k, n - k)  # c1
-        return min(k - 1, n - k)  # c2
-    if final is State.S1:
-        return min(k, n - k)  # c1
-    return min(k, n - k - 1)  # c3
+    """Largest j with both binomials nonzero: c1, c2 or c3 of the branch."""
+    o1, o2 = _OFFSETS[start, final][:2]
+    return min(k - 1 - o1, n - k - 1 - o2)
 
 
 def _term_shape(
     start: State, final: State, k: int, n: int, j: int
 ) -> tuple[int, int, int, int, int, int, int, int]:
     """(b1_n, b1_r, b2_n, b2_r, e00, e01, e10, e11) of interior term j."""
-    if start is State.S1 and final is State.S0:
-        return (k - 1, j - 1, n - k - 1, j - 1, n - k - j, j - 1, j, k - j)
-    if start is State.S1 and final is State.S1:
-        return (k - 1, j, n - k - 1, j - 1, n - k - j, j, j, k - j - 1)
-    if start is State.S0 and final is State.S1:
-        return (k - 1, j - 1, n - k - 1, j - 1, n - k - j, j, j - 1, k - j)
-    return (k - 1, j - 1, n - k - 1, j, n - k - j - 1, j, j, k - j)
+    o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
+    return (k - 1, j + o1, n - k - 1, j + o2, n - k - j + o00, j + o01, j + o10, k - j + o11)
+
+
+def _float_row(m: int) -> list[float]:
+    """C(m, 0..m) as doubles; the running product overflows to inf past row 1020."""
+    row = [1.0]
+    c = 1.0
+    for i in range(1, m + 1):
+        c = c * (m - i + 1) / i
+        row.append(c)
+    return row
+
+
+def _finite_sum(terms: list[float], n: int) -> float:
+    """Compensated sum of float terms; inf or NaN means a binomial product overflowed."""
+    total = _compensated_sum(terms)
+    if not math.isfinite(total):
+        raise NumericalError(
+            f"float arithmetic overflowed at horizon N={n}; use logspace mode (--mode logspace)"
+        )
+    return total
+
+
+def _running_powers(one, base, n: int) -> list:
+    """base**0..n by running product (in floats, ``**`` would round differently)."""
+    powers = [one]
+    for _ in range(n):
+        powers.append(powers[-1] * base)
+    return powers
 
 
 class _Evaluator:
-    """Shared per-call state: binomial tables and probability-power caches."""
+    """Shared per-call state: the mode's binomial-row builder (rows cached
+    by index), powers of p00, p01, p10 and p11, term operator and reduction."""
 
-    __slots__ = ("chain", "n", "mode", "_table", "_float_rows", "_pows", "terms_evaluated")
+    __slots__ = (
+        "chain", "n", "mode", "terms_evaluated",
+        "_rows", "_build_row", "_pows", "_combine", "_reduce",
+    )
 
     def __init__(self, chain: ChainSpec, n: int, table: BinomialTable | None = None):
         if not isinstance(n, int) or n < 1:
@@ -142,97 +178,56 @@ class _Evaluator:
         self.n = n
         self.mode = chain.mode
         self.terms_evaluated = 0
-        self._table = None
-        self._float_rows: dict[int, list[float]] = {}
+        self._rows: dict[int, list] = {}
+        bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
         if self.mode is NumericMode.EXACT:
-            if table is not None and table.max_n < max(n - 1, 0):
+            if table is not None and table.max_n < n - 1:
                 raise ParameterError(
                     f"binomial table of size {table.max_n} too small for horizon {n}"
                 )
-            self._table = table if table is not None else BinomialTable(max(n - 1, 0))
-        if self.mode is not NumericMode.LOGSPACE:
-            self._pows = {
-                name: [_one_payload(self.mode)]
-                for name in ("p00", "p01", "p10", "p11")
-            }
+            get = (table if table is not None else BinomialTable(n - 1)).get
+            self._build_row = lambda m: [get(m, r) for r in range(m + 1)]
+            self._pows = [_running_powers(Fraction(1), b, n) for b in bases]
+            self._combine = operator.mul
+            self._reduce = sum  # ProbValue turns the empty sum 0 into Fraction(0)
+        elif self.mode is NumericMode.FLOAT:
+            self._build_row = _float_row
+            self._pows = [_running_powers(1.0, b, n) for b in bases]
+            self._combine = operator.mul
+            self._reduce = lambda terms: _finite_sum(terms, n)
+        else:
+            self._build_row = lambda m: [log_binomial(m, r) for r in range(m + 1)]
+            self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
+            self._combine = operator.add
+            self._reduce = _log_sum_exp
 
-    def _float_binomial(self, n: int, r: int) -> float:
-        if n < 0 or r < 0 or r > n:
-            return 0.0
-        row = self._float_rows.get(n)
+    def _binomial_row(self, m: int) -> list:
+        row = self._rows.get(m)
         if row is None:
-            row = [1.0]
-            c = 1.0
-            for i in range(1, n + 1):
-                c = c * (n - i + 1) / i
-                row.append(c)
-            self._float_rows[n] = row
-        return row[r]
-
-    def _pow_list(self, name: str) -> list:
-        """Powers base**0..n of one transition probability, built lazily."""
-        cache = self._pows[name]
-        if len(cache) <= self.n:
-            base = getattr(self.chain, name).value
-            while len(cache) <= self.n:
-                cache.append(cache[-1] * base)
-        return cache
+            row = self._rows[m] = self._build_row(m)
+        return row
 
     def _interior_terms(self, start: State, final: State, k: int, upper: int) -> list:
-        """Raw payloads of the nonzero terms of one interior sum."""
+        """Payloads of the nonzero terms j = 1..upper of one interior sum."""
         n = self.n
-        mode = self.mode
+        o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
+        row1, row2 = self._binomial_row(k - 1), self._binomial_row(n - k - 1)
+        pow00, pow01, pow10, pow11 = self._pows
+        op = self._combine
         out = []
-        if mode is NumericMode.EXACT:
-            get = self._table.get
-            pow00, pow01 = self._pow_list("p00"), self._pow_list("p01")
-            pow10, pow11 = self._pow_list("p10"), self._pow_list("p11")
-            for j in range(1, upper + 1):
-                b1n, b1r, b2n, b2r, e00, e01, e10, e11 = _term_shape(start, final, k, n, j)
-                coeff = get(b1n, b1r) * get(b2n, b2r)
-                if coeff == 0:
-                    continue
-                out.append(coeff * pow11[e11] * pow10[e10] * pow01[e01] * pow00[e00])
-        elif mode is NumericMode.FLOAT:
-            fbinom = self._float_binomial
-            pow00, pow01 = self._pow_list("p00"), self._pow_list("p01")
-            pow10, pow11 = self._pow_list("p10"), self._pow_list("p11")
-            for j in range(1, upper + 1):
-                b1n, b1r, b2n, b2r, e00, e01, e10, e11 = _term_shape(start, final, k, n, j)
-                coeff = fbinom(b1n, b1r) * fbinom(b2n, b2r)
-                if coeff == 0.0:
-                    continue
-                out.append(coeff * pow11[e11] * pow10[e10] * pow01[e01] * pow00[e00])
-        else:
-            chain = self.chain
-            l00, l01 = chain.p00.value, chain.p01.value
-            l10, l11 = chain.p10.value, chain.p11.value
-            for j in range(1, upper + 1):
-                b1n, b1r, b2n, b2r, e00, e01, e10, e11 = _term_shape(start, final, k, n, j)
-                coeff = log_binomial(b1n, b1r) + log_binomial(b2n, b2r)
-                if coeff == _NEG_INF:
-                    continue
-                term = coeff
-                if e11:
-                    term += e11 * l11
-                if e10:
-                    term += e10 * l10
-                if e01:
-                    term += e01 * l01
-                if e00:
-                    term += e00 * l00
-                out.append(term)
+        for j in range(1, upper + 1):
+            r1, r2 = j + o1, j + o2
+            if r1 >= len(row1) or r2 >= len(row2):
+                continue  # zero-extended binomial, past the summation limit
+            term = op(row1[r1], row2[r2])
+            term = op(op(term, pow11[k - j + o11]), pow10[j + o10])
+            out.append(op(op(term, pow01[j + o01]), pow00[n - k - j + o00]))
         self.terms_evaluated += len(out)
         return out
 
     def _interior_sum(self, start: State, final: State, k: int, extend: bool) -> ProbValue:
         upper = self.n if extend else _branch_limit(start, final, k, self.n)
-        terms = self._interior_terms(start, final, k, upper)
-        if self.mode is NumericMode.EXACT:
-            return ProbValue(self.mode, sum(terms, Fraction(0)))
-        if self.mode is NumericMode.FLOAT:
-            return ProbValue(self.mode, _compensated_sum(terms))
-        return ProbValue(self.mode, _log_sum_exp(terms))
+        return ProbValue(self.mode, self._reduce(self._interior_terms(start, final, k, upper)))
 
     def conditional(self, start: State, k: int, extend: bool = False) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
@@ -264,10 +259,6 @@ class _Evaluator:
         return chain.p1 * self.conditional(State.S1, k, extend) + chain.p0 * self.conditional(
             State.S0, k, extend
         )
-
-
-def _one_payload(mode: NumericMode):
-    return Fraction(1) if mode is NumericMode.EXACT else 1.0
 
 
 # ---------------------------------------------------------------------------

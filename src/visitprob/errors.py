@@ -15,3 +15,7 @@ class BackendMismatchError(VisitProbError, TypeError):
 
 class EnumerationGuardError(VisitProbError, RuntimeError):
     """An exhaustive enumeration would exceed the configured size guard."""
+
+
+class NumericalError(VisitProbError, ArithmeticError):
+    """A backend's arithmetic overflowed or lost its result (inf or NaN)."""

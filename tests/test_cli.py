@@ -44,6 +44,13 @@ class TestProb:
         assert code == 2
         assert "p01" in err
 
+    def test_float_overflow_is_numerical_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "prob", *GENERIC, "--n", "1036", "--k", "518", "--mode", "float"
+        )
+        assert code == 4
+        assert "N=1036" in err and "--mode logspace" in err
+
     def test_default_mode_rule(self, capsys):
         _, out, _ = run_cli(capsys, "prob", *SYM, "--n", "64", "--k", "1", "--format", "json")
         assert json.loads(out)["inputs"]["mode"] == "exact"
@@ -215,14 +222,20 @@ class TestTextOutput:
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # The child imports the same visitprob as this process, installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "visitprob", "prob", *SYM, "--n", "4", "--k", "2",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["exact"] == "3/8"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from visitprob.closed_form import (
     visit_distribution,
     visit_probability,
 )
-from visitprob.errors import ParameterError
+from visitprob.errors import NumericalError, ParameterError
 from visitprob.numerics import NumericMode
 
 GENERIC = ("3/10", "2/5", "1/2")
+SKEWED = ("13/97", "41/89", "29/83")
 
 # Frozen expectations below were produced by the exhaustive-enumeration
 # oracle (see tests/test_oracle.py) and are asserted bit-for-bit.
@@ -35,6 +37,26 @@ GENERIC_N8_MASS = (
 )
 GENERIC_N8_MEAN = Fraction(70_612_111, 20_000_000)
 GENERIC_N8_VARIANCE = Fraction(1_342_109_040_123_679, 400_000_000_000_000)
+
+# sha256 of the newline-joined reprs of every mass payload.  They pin each
+# rounding step: any change in the order in which a term's factors are
+# combined or its terms reduced shows up here.
+MASS_DIGESTS = {
+    ("exact", "generic", "S0"): "66d2ec6198b9d6d50a4e4aced80bf504564e309d294b48b7822a553ac510f4af",
+    ("exact", "generic", "S1"): "35e2abc76eff7572896287342fb89c38c893fc9b6c1cf56711b85af882b7fe61",
+    ("exact", "skewed", "S0"): "c322d7080f75d93206d1de8e83059b07b953b2f39ac41e9950fa6cdb9a090469",
+    ("exact", "skewed", "S1"): "10826d4ae08f78811197d10f535d491ff154202cda0ecefae7f583f2feafe3f0",
+    ("float", "generic", "S0"): "dc0821046656cec024adfafbb4df15dd494616ae96d9e77e0faea0a4026b1ef2",
+    ("float", "generic", "S1"): "872055a0a73e8e3a7d4cd07ac682f7151f8cecb7048a21d5e76049a30df76a08",
+    ("float", "skewed", "S0"): "ad02d7e1cf46fadfb3d2149f31b1eef8e001513d90aa1003eb2ae4056dcd94b7",
+    ("float", "skewed", "S1"): "d277f09a3861d20d4e8323ac4b83dbae938ea59d3442b249dc34332a034c0221",
+    ("logspace", "generic", "S0"): "668838eeed13b5425d280f527610da19562bfcd79e11c7256ada14a4b2a60cf9",
+    ("logspace", "generic", "S1"): "16e9db537db1e7474ab90c88280f3376c3c23557e221be85dec0c71f06930888",
+    ("logspace", "skewed", "S0"): "1315432a7b0fbea9c8b96e1e2d69be34861e0f31a438d249b45b6b1edaaa84be",
+    ("logspace", "skewed", "S1"): "5023057fb3e752e28457ada619e3fe80a27c0c9cd5975ac0b6ad4d1234a2ce7e",
+}
+MASS_DIGEST_HORIZON = {"exact": 120, "float": 300, "logspace": 300}
+MASS_DIGEST_CHAINS = {"generic": GENERIC, "skewed": SKEWED}
 
 rational = st.fractions(min_value=0, max_value=1, max_denominator=12)
 chains = st.builds(build_chain, rational, rational, rational)
@@ -124,6 +146,12 @@ class TestVisitProbability:
         expected = c.p1.value * c.p10.value + c.p0.value * c.p01.value
         assert visit_probability(VisitQuery(2, 1), c).value == expected
 
+    def test_float_overflow_raises_numerical_error(self):
+        c = build_chain(*GENERIC, NumericMode.FLOAT)
+        assert visit_probability(VisitQuery(1035, 518), c).value > 0
+        with pytest.raises(NumericalError, match="N=1036"):
+            visit_probability(VisitQuery(1036, 518), c)
+
 
 class TestVisitDistribution:
     def test_single_position(self):
@@ -170,6 +198,17 @@ class TestVisitDistribution:
         for e, l in zip(exact.mass, logd.mass):
             assert l.to_float() == pytest.approx(float(e.value), rel=1e-9)
 
+    @pytest.mark.parametrize("key", list(MASS_DIGESTS), ids="-".join)
+    def test_masses_are_bit_identical_to_frozen_digests(self, key):
+        mode, chain, target = key
+        d = visit_distribution(
+            MASS_DIGEST_HORIZON[mode],
+            State[target],
+            build_chain(*MASS_DIGEST_CHAINS[chain], NumericMode(mode)),
+        )
+        text = "\n".join(repr(m.value) for m in d.mass)
+        assert hashlib.sha256(text.encode()).hexdigest() == MASS_DIGESTS[key]
+
 
 class TestSymmetries:
     @settings(max_examples=30, deadline=None)
@@ -189,8 +228,9 @@ class TestSymmetries:
             assert s0.mass[k].value == swapped_s1.mass[k].value
 
     @settings(max_examples=30, deadline=None)
-    @given(chains, st.integers(min_value=1, max_value=12))
-    def test_extended_limits_change_nothing(self, chain, n):
+    @given(chains, st.integers(min_value=1, max_value=12), st.sampled_from(NumericMode))
+    def test_extended_limits_change_nothing(self, chain, n, mode):
+        chain = chain.as_mode(mode)
         base = visit_distribution(n, State.S1, chain)
         extended = visit_distribution(n, State.S1, chain, extend_limits=True)
         assert [m.value for m in base.mass] == [m.value for m in extended.mass]
