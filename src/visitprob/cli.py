@@ -311,11 +311,13 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     chain, inputs = _chain_inputs(args, NumericMode.FLOAT)
     inputs.update({"state": args.state, "trials": args.trials, "seed": args.seed})
-    inputs["mode"] = NumericMode.FLOAT.value
     target = State(args.state)
     result = simulate(args.n, chain, args.trials, args.seed)
     empirical = result.empirical_distribution(target)
-    reference = visit_distribution(args.n, target, chain)
+    try:
+        reference = visit_distribution(args.n, target, chain)
+    except NumericalError:  # float overflows past N = 1035; the simulation did not
+        reference = visit_distribution(args.n, target, chain.as_mode(NumericMode.LOGSPACE))
     tv = total_variation(empirical, reference)
     counts = list(result.counts if target is State.S1 else result.counts[::-1])
     rows = [
@@ -323,7 +325,7 @@ def cmd_simulate(args) -> int:
             "k": k,
             "count": counts[k],
             "frequency": repr(emp.value),
-            "reference": repr(ref.value),
+            "reference": repr(ref.to_float()),
         }
         for k, (emp, ref) in enumerate(zip(empirical.mass, reference.mass))
     ]

@@ -316,7 +316,7 @@ def parse_probability(
     else:
         try:
             exact = Fraction(value)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise ParameterError(f"{name}: cannot parse {value!r} as a probability") from exc
     if not 0 <= exact <= 1:
         raise ParameterError(f"{name} must be in [0, 1], got {exact}")

@@ -149,9 +149,9 @@ def oracle_distribution(
 ) -> VisitDistribution:
     """Visit-count distribution by exhaustive enumeration.
 
-    Exact in EXACT mode.  FLOAT mode dispatches to the enumeration kernel
-    (compiled when available); LOGSPACE accumulates per-bucket running
-    log-sum-exp.
+    Exact in EXACT mode.  FLOAT mode dispatches to
+    :func:`visitprob.kernels.enumerate_visit_mass`; LOGSPACE accumulates
+    per-bucket running log-sum-exp.
     """
     _check_enumerable(n, guard)
     mode = chain.mode
@@ -159,7 +159,7 @@ def oracle_distribution(
         p01f, p10f, p1f = chain.float_params()
         buckets = kernels.enumerate_visit_mass(n, p01f, p10f, p1f)
     else:
-        init, trans, _ = _raw_values(chain)
+        init, trans, mul = _raw_values(chain)
         if mode is NumericMode.EXACT:
             buckets = [Fraction(0)] * (n + 1)
 
@@ -171,11 +171,6 @@ def oracle_distribution(
 
             def leaf(v: int, acc) -> None:
                 buckets[v] = _log_add(buckets[v], acc)
-
-        if mode is NumericMode.EXACT:
-            mul = lambda a, b: a * b  # noqa: E731
-        else:
-            mul = lambda a, b: a + b  # noqa: E731
 
         def walk(depth: int, prev: int, acc, visits: int) -> None:
             if depth == n:
@@ -281,9 +276,9 @@ def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResu
     """Sample ``trials`` independent trajectories and histogram S1 visits.
 
     Deterministic: the generator is pinned (splitmix64; see
-    :mod:`visitprob._kernels_py` for the exact draw rules), so equal
+    :mod:`visitprob.kernels` for the exact draw rules), so equal
     ``(n, chain, trials, seed)`` always produce equal counts, across
-    backends, runs and process restarts.  Chains in any backend are
+    runs, machines and process restarts.  Chains in any backend are
     converted to doubles first.
     """
     if not isinstance(n, int) or n < 1:

@@ -169,6 +169,13 @@ class TestSimulateCommand:
         assert inputs["trials"] == 100 and inputs["seed"] == 9
         assert inputs["p01"] == "3/10"
 
+    def test_float_overflow_falls_back_to_logspace_reference(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", *GENERIC, "--n", "1100", "--trials", "3", "--format", "json",
+        )
+        assert code == 0
+        assert sum(json.loads(out)["results"]["counts"]) == 3
+
 
 class TestValidateCommand:
     def test_small_grid_passes(self, capsys):

@@ -200,6 +200,9 @@ class TestParseProbability:
         with pytest.raises(ParameterError, match="p01"):
             parse_probability("1.2", name="p01")
 
-    def test_garbage_rejected(self):
+    @pytest.mark.parametrize(
+        "value", ["not-a-number", float("inf"), float("-inf"), float("nan")]
+    )
+    def test_garbage_rejected(self, value):
         with pytest.raises(ParameterError):
-            parse_probability("not-a-number")
+            parse_probability(value)
