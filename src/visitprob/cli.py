@@ -26,6 +26,7 @@ from itertools import product
 from visitprob import kernels
 from visitprob.chain_model import ChainSpec, State, VisitQuery, build_chain, swap_labels
 from visitprob.closed_form import (
+    FLOAT_MAX_HORIZON,
     VisitDistribution,
     summation_limits,
     visit_distribution,
@@ -314,10 +315,9 @@ def cmd_simulate(args) -> int:
     target = State(args.state)
     result = simulate(args.n, chain, args.trials, args.seed)
     empirical = result.empirical_distribution(target)
-    try:
-        reference = visit_distribution(args.n, target, chain)
-    except NumericalError:  # float overflows past N = 1035; the simulation did not
-        reference = visit_distribution(args.n, target, chain.as_mode(NumericMode.LOGSPACE))
+    # The simulation has no horizon limit; the float reference does.
+    ref_mode = NumericMode.LOGSPACE if args.n > FLOAT_MAX_HORIZON else NumericMode.FLOAT
+    reference = visit_distribution(args.n, target, chain.as_mode(ref_mode))
     tv = total_variation(empirical, reference)
     counts = list(result.counts if target is State.S1 else result.counts[::-1])
     rows = [

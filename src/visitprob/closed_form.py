@@ -22,12 +22,23 @@ N; ``extend_limits=True`` evaluates that way so the equivalence can be
 tested.
 
 Numeric backends share one term loop.  Each mode supplies binomial rows
-(Pascal table, incremental doubles, or log-binomials), the powers 0..N of
-each transition probability (running products, or exponent-weighted logs),
-the operator joining a term's factors (product, or sum of logs) and the
-reduction (exact sum, compensated sum, or log-sum-exp, which keeps horizons
-in the thousands stable).  Past N = 1035 the FLOAT binomial products
-overflow and its reduction raises :class:`~visitprob.errors.NumericalError`.
+(Pascal table, incremental doubles, or log-factorial differences), the
+powers 0..N of each transition probability (running products, or
+exponent-weighted logs), the operator joining a term's factors (product, or
+sum of logs) and the reduction of one branch's terms (exact division,
+compensated sum, or log-sum-exp, which keeps horizons in the thousands
+stable).
+
+EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
+terms they share one denominator d0; likewise p10 and p11 share d1.  The
+loop multiplies binomials by powers of the four *numerators*, and the
+reduction divides the branch's integer sum once by d0**a * d1**b, where
+a = n-k+o00+o01 and b = k+o10+o11 count the branch's transitions out of S0
+and out of S1 (both independent of j).  That builds one ``Fraction`` per
+branch, equal to the sum of the per-term fractions.
+
+Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
+its reduction raises :class:`~visitprob.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery
-from visitprob.combinatorics import BinomialTable, binomial, log_binomial
+# log_binomial is unused here, but perfbench/tracing.py looks it up on this module.
+from visitprob.combinatorics import BinomialTable, binomial, log_binomial  # noqa: F401
 from visitprob.errors import NumericalError, ParameterError
 from visitprob.numerics import (
     NumericMode,
@@ -50,6 +62,7 @@ from visitprob.numerics import (
 )
 
 __all__ = [
+    "FLOAT_MAX_HORIZON",
     "SummationLimits",
     "VisitDistribution",
     "TermCell",
@@ -61,6 +74,10 @@ __all__ = [
     "moments",
     "term_census",
 ]
+
+# Largest horizon FLOAT mode can evaluate: from N = 1036 on, the product of
+# a middle term's two float binomials exceeds the double range for every chain.
+FLOAT_MAX_HORIZON = 1035
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +166,8 @@ def _finite_sum(terms: list[float], n: int) -> float:
     total = _compensated_sum(terms)
     if not math.isfinite(total):
         raise NumericalError(
-            f"float arithmetic overflowed at horizon N={n}; use logspace mode (--mode logspace)"
+            f"float arithmetic overflowed at horizon N={n} (float mode reaches "
+            f"N={FLOAT_MAX_HORIZON}); use logspace mode (--mode logspace)"
         )
     return total
 
@@ -164,7 +182,8 @@ def _running_powers(one, base, n: int) -> list:
 
 class _Evaluator:
     """Shared per-call state: the mode's binomial-row builder (rows cached
-    by index), powers of p00, p01, p10 and p11, term operator and reduction."""
+    by index), powers of p00, p01, p10 and p11 (of their numerators in EXACT
+    mode), term operator and branch reduction."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated",
@@ -180,6 +199,8 @@ class _Evaluator:
         self.terms_evaluated = 0
         self._rows: dict[int, list] = {}
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
+        # Each reduction takes (terms, a, b): a and b count the branch's
+        # transitions out of S0 and out of S1; only EXACT mode needs them.
         if self.mode is NumericMode.EXACT:
             if table is not None and table.max_n < n - 1:
                 raise ParameterError(
@@ -187,19 +208,23 @@ class _Evaluator:
                 )
             get = (table if table is not None else BinomialTable(n - 1)).get
             self._build_row = lambda m: [get(m, r) for r in range(m + 1)]
-            self._pows = [_running_powers(Fraction(1), b, n) for b in bases]
+            self._pows = [_running_powers(1, b.numerator, n) for b in bases]
             self._combine = operator.mul
-            self._reduce = sum  # ProbValue turns the empty sum 0 into Fraction(0)
+            den0 = _running_powers(1, chain.p01.value.denominator, n)
+            den1 = _running_powers(1, chain.p10.value.denominator, n)
+            self._reduce = lambda terms, a, b: Fraction(sum(terms), den0[a] * den1[b])
         elif self.mode is NumericMode.FLOAT:
             self._build_row = _float_row
             self._pows = [_running_powers(1.0, b, n) for b in bases]
             self._combine = operator.mul
-            self._reduce = lambda terms: _finite_sum(terms, n)
+            self._reduce = lambda terms, a, b: _finite_sum(terms, n)
         else:
-            self._build_row = lambda m: [log_binomial(m, r) for r in range(m + 1)]
+            # lf[i] = log i!; row entries subtract in log_binomial's order.
+            lf = [math.lgamma(i + 1) for i in range(n)]
+            self._build_row = lambda m: [lf[m] - lf[r] - lf[m - r] for r in range(m + 1)]
             self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
             self._combine = operator.add
-            self._reduce = _log_sum_exp
+            self._reduce = lambda terms, a, b: _log_sum_exp(terms)
 
     def _binomial_row(self, m: int) -> list:
         row = self._rows.get(m)
@@ -226,8 +251,11 @@ class _Evaluator:
         return out
 
     def _interior_sum(self, start: State, final: State, k: int, extend: bool) -> ProbValue:
-        upper = self.n if extend else _branch_limit(start, final, k, self.n)
-        return ProbValue(self.mode, self._reduce(self._interior_terms(start, final, k, upper)))
+        n = self.n
+        upper = n if extend else _branch_limit(start, final, k, n)
+        o00, o01, o10, o11 = _OFFSETS[start, final][2:]
+        terms = self._interior_terms(start, final, k, upper)
+        return ProbValue(self.mode, self._reduce(terms, n - k + o00 + o01, k + o10 + o11))
 
     def conditional(self, start: State, k: int, extend: bool = False) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""

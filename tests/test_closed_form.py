@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from visitprob.chain_model import State, VisitQuery, build_chain, swap_labels
 from visitprob.closed_form import (
+    FLOAT_MAX_HORIZON,
     moments,
     prob_given_start_s0,
     prob_given_start_s1,
@@ -17,6 +18,7 @@ from visitprob.closed_form import (
 )
 from visitprob.errors import NumericalError, ParameterError
 from visitprob.numerics import NumericMode
+from visitprob.oracle import oracle_distribution
 
 GENERIC = ("3/10", "2/5", "1/2")
 SKEWED = ("13/97", "41/89", "29/83")
@@ -40,7 +42,8 @@ GENERIC_N8_VARIANCE = Fraction(1_342_109_040_123_679, 400_000_000_000_000)
 
 # sha256 of the newline-joined reprs of every mass payload.  They pin each
 # rounding step: any change in the order in which a term's factors are
-# combined or its terms reduced shows up here.
+# combined or its terms reduced shows up here.  Keys are (mode, chain,
+# target) at the mode's MASS_DIGEST_HORIZON, or (mode, chain, target, N).
 MASS_DIGESTS = {
     ("exact", "generic", "S0"): "66d2ec6198b9d6d50a4e4aced80bf504564e309d294b48b7822a553ac510f4af",
     ("exact", "generic", "S1"): "35e2abc76eff7572896287342fb89c38c893fc9b6c1cf56711b85af882b7fe61",
@@ -54,6 +57,10 @@ MASS_DIGESTS = {
     ("logspace", "generic", "S1"): "16e9db537db1e7474ab90c88280f3376c3c23557e221be85dec0c71f06930888",
     ("logspace", "skewed", "S0"): "1315432a7b0fbea9c8b96e1e2d69be34861e0f31a438d249b45b6b1edaaa84be",
     ("logspace", "skewed", "S1"): "5023057fb3e752e28457ada619e3fe80a27c0c9cd5975ac0b6ad4d1234a2ce7e",
+    ("exact", "generic", "S0", "200"): "8e0908f31bf795a29437e06fc4ba42b502f21fd6f47e63c3b8e28b768fa2ba84",
+    ("exact", "generic", "S1", "200"): "2e53e43fd8b5d667ce249ca360f0932c23c77920b02aac69251bc3608c78d534",
+    ("exact", "skewed", "S0", "200"): "c67b0a21925a7454e13712470dac2f6631451ba6f68438ad539a3a77d3e2ed9b",
+    ("exact", "skewed", "S1", "200"): "2c11563aeace30523102702d52fc2fcbb39979d7d0cd2a52d315ea13f6fcc308",
 }
 MASS_DIGEST_HORIZON = {"exact": 120, "float": 300, "logspace": 300}
 MASS_DIGEST_CHAINS = {"generic": GENERIC, "skewed": SKEWED}
@@ -148,9 +155,10 @@ class TestVisitProbability:
 
     def test_float_overflow_raises_numerical_error(self):
         c = build_chain(*GENERIC, NumericMode.FLOAT)
-        assert visit_probability(VisitQuery(1035, 518), c).value > 0
-        with pytest.raises(NumericalError, match="N=1036"):
-            visit_probability(VisitQuery(1036, 518), c)
+        n = FLOAT_MAX_HORIZON
+        assert visit_probability(VisitQuery(n, (n + 1) // 2), c).value > 0
+        with pytest.raises(NumericalError, match=f"N={n + 1} .*N={n}\\)"):
+            visit_probability(VisitQuery(n + 1, (n + 1) // 2), c)
 
 
 class TestVisitDistribution:
@@ -200,14 +208,22 @@ class TestVisitDistribution:
 
     @pytest.mark.parametrize("key", list(MASS_DIGESTS), ids="-".join)
     def test_masses_are_bit_identical_to_frozen_digests(self, key):
-        mode, chain, target = key
+        mode, chain, target, *horizon = key
         d = visit_distribution(
-            MASS_DIGEST_HORIZON[mode],
+            int(horizon[0]) if horizon else MASS_DIGEST_HORIZON[mode],
             State[target],
             build_chain(*MASS_DIGEST_CHAINS[chain], NumericMode(mode)),
         )
         text = "\n".join(repr(m.value) for m in d.mass)
         assert hashlib.sha256(text.encode()).hexdigest() == MASS_DIGESTS[key]
+
+    @settings(max_examples=60, deadline=None)
+    @given(chains, st.integers(min_value=1, max_value=10), st.sampled_from(State))
+    def test_exact_matches_oracle_bit_for_bit(self, chain, n, target):
+        closed = visit_distribution(n, target, chain)
+        assert [m.value for m in closed.mass] == [
+            m.value for m in oracle_distribution(n, target, chain).mass
+        ]
 
 
 class TestSymmetries:
