@@ -272,6 +272,10 @@ class SimulationResult:
         )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResult:
     """Sample ``trials`` independent trajectories and histogram S1 visits.
 
@@ -281,11 +285,11 @@ def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResu
     runs, machines and process restarts.  Chains in any backend are
     converted to doubles first.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParameterError(f"horizon must be a positive integer, got {n}")
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials}")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     p01f, p10f, p1f = chain.float_params()
     started = time.perf_counter()

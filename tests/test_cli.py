@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from visitprob import cli
@@ -150,6 +151,18 @@ class TestSimulateCommand:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_output_matches_frozen_digest(self, capsys):
+        """The stdout bytes of one fixed run, frozen when the simulator ran
+        one trajectory at a time."""
+        code, out, _ = run_cli(
+            capsys, "simulate", *GENERIC, "--n", "40", "--trials", "5000",
+            "--seed", "18446744073709551615", "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "36636e4c8a71f3184b96cced3b65296adcba5a3a0abbd911e201e615a5b2c9c2"
+        )
 
     def test_deterministic_chain_matches_closed_form(self, capsys):
         _, out, _ = run_cli(

@@ -1,12 +1,19 @@
-"""The kernels against frozen golden vectors, and the pinned generator
-against its published reference outputs."""
+"""The kernels against frozen golden vectors, the word-parallel simulator
+against the one-trajectory-at-a-time loop it replaces, and the pinned
+generator against its published reference outputs."""
 
 import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from visitprob import kernels
+from visitprob.kernels import _GAMMA, _MASK, _MIX1, _MIX2
+
+_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+B = kernels._BLOCK
 
 CHAINS = [
     (0.3, 0.4, 0.5),
@@ -48,6 +55,32 @@ SIMULATE_DIGESTS = {
     ((0.01, 0.99, 0.25), 2**63 + 12345): "270cce68cb52b9098293b88c951daec765e0de2d058684d05bd3e4bed6590b83",
 }
 
+# sha256 of repr(simulate_counts(n, *chain, trials, seed)), keyed by
+# (n, trials, chain, seed): a horizon with no transitions, and a long one
+# whose trial count is not a multiple of the block size.
+SIMULATE_EDGE_DIGESTS = {
+    (1, 10_000, (0.3, 0.4, 0.5), 0): "bfd7d9901edb846431c7676f81261f2e464b14aa6a26d07d7637411f7a64f18a",
+    (1, 10_000, (0.3, 0.4, 0.5), 2**64 - 1): "a6d32f7b0df58e2006db79d51e0cc03106d4164d23fe44331089bfd62e93cfad",
+    (1, 10_000, (0.5, 0.5, 0.5), 0): "bfd7d9901edb846431c7676f81261f2e464b14aa6a26d07d7637411f7a64f18a",
+    (1, 10_000, (0.5, 0.5, 0.5), 2**64 - 1): "a6d32f7b0df58e2006db79d51e0cc03106d4164d23fe44331089bfd62e93cfad",
+    (1, 10_000, (0.0, 1.0, 1.0), 0): "710874d538084374690fc1b7fbadafdfaa066bb8940aedf157c476e5a5d99a1a",
+    (1, 10_000, (0.0, 1.0, 1.0), 2**64 - 1): "710874d538084374690fc1b7fbadafdfaa066bb8940aedf157c476e5a5d99a1a",
+    (1, 10_000, (1.0, 0.0, 0.0), 0): "62781b727949b164157525b5010944988c46ecef3423db9af7996c6f38d5fef6",
+    (1, 10_000, (1.0, 0.0, 0.0), 2**64 - 1): "62781b727949b164157525b5010944988c46ecef3423db9af7996c6f38d5fef6",
+    (1, 10_000, (0.01, 0.99, 0.25), 0): "cd87d6c02b67a9cdc32af72c85720b5037cf8f3a7461a629f4b66dc2de559279",
+    (1, 10_000, (0.01, 0.99, 0.25), 2**64 - 1): "cdec74a92a7830ae4c90cbbd9308f13e6497cfa37df1038adbf6cf9f9378970d",
+    (40, 10_007, (0.3, 0.4, 0.5), 0): "52ae2e7b3c46b126c2e19a05178be9e98d3befa2928e2228d76dff14b2a65059",
+    (40, 10_007, (0.3, 0.4, 0.5), 2**64 - 1): "46354a596fbecb24ab22ae8ea128e6eb7d7569e42d71270172cbce467b437229",
+    (40, 10_007, (0.5, 0.5, 0.5), 0): "803dfcc8298d8f8d39a4bc528f53fc9cfa420653db9037fc1f013a6fd6b0de9a",
+    (40, 10_007, (0.5, 0.5, 0.5), 2**64 - 1): "9b680fafd53cdd21037e52bb1aaec94076971e9a571f68efaf415015f4fb2532",
+    (40, 10_007, (0.0, 1.0, 1.0), 0): "5894129791ee0d87eef5f743b5604a9812ec9f68dc06245e3f99c736990edb80",
+    (40, 10_007, (0.0, 1.0, 1.0), 2**64 - 1): "5894129791ee0d87eef5f743b5604a9812ec9f68dc06245e3f99c736990edb80",
+    (40, 10_007, (1.0, 0.0, 0.0), 0): "b2516ec21491b031ac585d3185a63146013d7525b3e977e458a42740c5f277c8",
+    (40, 10_007, (1.0, 0.0, 0.0), 2**64 - 1): "b2516ec21491b031ac585d3185a63146013d7525b3e977e458a42740c5f277c8",
+    (40, 10_007, (0.01, 0.99, 0.25), 0): "51537c36c46a8a7f2bee5be92f8de659b1d824164e6080c63fe6ae308d42c708",
+    (40, 10_007, (0.01, 0.99, 0.25), 2**64 - 1): "1af8feddfc9795ec51cf69a01d61571fef1f6241a5acdd44238a00ac55e0fb95",
+}
+
 ENUMERATE_DIGESTS = {
     ((0.3, 0.4, 0.5), 1): "01a59a9c423ad34fa0803ec1af9a257e8994296ef8be2614855a3f9ad2de8568",
     ((0.3, 0.4, 0.5), 2): "9ec950cd01e810488bc7e5db61e65891a465079541808a1ca395af15c357cee7",
@@ -81,6 +114,34 @@ def _digest(output) -> str:
     return hashlib.sha256(repr(output).encode()).hexdigest()
 
 
+def reference_simulate_counts(
+    n: int, p01: float, p10: float, p1: float, trials: int, seed: int
+) -> list[int]:
+    """The simulator's specification: one trajectory, one draw at a time."""
+    state = seed & _MASK
+    counts = [0] * (n + 1)
+    steps = n - 1
+    for _ in range(trials):
+        state = (state + _GAMMA) & _MASK
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        u = ((z ^ (z >> 31)) >> 11) * _INV53
+        s = 1 if u < p1 else 0
+        visits = s
+        for _ in range(steps):
+            state = (state + _GAMMA) & _MASK
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            u = ((z ^ (z >> 31)) >> 11) * _INV53
+            if s:
+                s = 0 if u < p10 else 1
+            else:
+                s = 1 if u < p01 else 0
+            visits += s
+        counts[visits] += 1
+    return counts
+
+
 def _splitmix64_stream(seed: int, count: int) -> list[int]:
     mask = (1 << 64) - 1
     state = seed & mask
@@ -91,6 +152,23 @@ def _splitmix64_stream(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * kernels._MIX2) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+# The first draw of seed 1234567 as a 53-bit integer, below 2**52, so that
+# p = (X + 1/2) * 2**-53 is a double and p * 2**53 is not an integer.
+X = 6457827717110365317 >> 11
+AT_DRAW = X * _INV53  # u == p: not below
+HALF_ABOVE_DRAW = (X + 0.5) * _INV53  # u < p only if the threshold rounds up
+SEED_BEFORE = (1234567 - _GAMMA) & _MASK  # the same draw, as trajectory 0's step 1
+
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53, 0.5, 0.3, AT_DRAW, HALF_ABOVE_DRAW]),
+    st.floats(0.0, 1.0),
+)
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**64 - 1, 1234567, SEED_BEFORE]),
+    st.integers(0, 2**64 - 1),
+)
 
 
 class TestPinnedGenerator:
@@ -110,7 +188,7 @@ class TestPinnedGenerator:
 
     def test_unit_mapping_stays_in_range(self):
         for v in _splitmix64_stream(99, 1000):
-            u = (v >> 11) * kernels._INV53
+            u = (v >> 11) * _INV53
             assert 0.0 <= u < 1.0
 
 
@@ -132,11 +210,36 @@ class TestPurePython:
         assert kernels.backend_name() == "pure-python"
 
 
+class TestMatchesReference:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        trials=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+        p01=PROBABILITIES,
+        p10=PROBABILITIES,
+        p1=PROBABILITIES,
+        seed=SEEDS,
+    )
+    @example(n=1, trials=1, p01=0.3, p10=0.3, p1=HALF_ABOVE_DRAW, seed=1234567)
+    @example(n=2, trials=1, p01=HALF_ABOVE_DRAW, p10=HALF_ABOVE_DRAW, p1=0.5, seed=SEED_BEFORE)
+    @example(n=1, trials=1, p01=0.3, p10=0.3, p1=AT_DRAW, seed=1234567)
+    @example(n=3, trials=B + 1, p01=5e-324, p10=1 - 2**-53, p1=1.0, seed=0)
+    def test_histogram_equals_scalar_loop(self, n, trials, p01, p10, p1, seed):
+        assert kernels.simulate_counts(n, p01, p10, p1, trials, seed) == (
+            reference_simulate_counts(n, p01, p10, p1, trials, seed)
+        )
+
+
 class TestGoldenVectors:
     @pytest.mark.parametrize("chain,seed", list(SIMULATE_DIGESTS))
     def test_simulate_counts_match_frozen_digest(self, chain, seed):
         counts = kernels.simulate_counts(8, *chain, 10_000, seed)
         assert _digest(counts) == SIMULATE_DIGESTS[chain, seed]
+
+    @pytest.mark.parametrize("n,trials,chain,seed", list(SIMULATE_EDGE_DIGESTS))
+    def test_simulate_edge_cases_match_frozen_digest(self, n, trials, chain, seed):
+        counts = kernels.simulate_counts(n, *chain, trials, seed)
+        assert _digest(counts) == SIMULATE_EDGE_DIGESTS[n, trials, chain, seed]
 
     @pytest.mark.parametrize("chain,n", list(ENUMERATE_DIGESTS))
     def test_enumerate_visit_mass_matches_frozen_digest(self, chain, n):

@@ -238,6 +238,12 @@ class TestSimulate:
             simulate(4, c, 0, 1)
         with pytest.raises(ParameterError):
             simulate(4, c, 10, "seed")
+        with pytest.raises(ParameterError):
+            simulate(True, c, 5, 0)
+        with pytest.raises(ParameterError):
+            simulate(4, c, True, 0)
+        with pytest.raises(ParameterError):
+            simulate(4, c, 10, False)
 
 
 class TestTotalVariation:
