@@ -1,10 +1,12 @@
 """Exact and simulated visit-count distributions for two-state Markov chains.
 
 The closed form (``visit_probability`` / ``visit_distribution``), an
-exhaustive-enumeration referee (``oracle_distribution``, ``census_by_j``)
-and a seeded Monte Carlo simulator (``simulate``) expose the same
-quantities through independent routes; the test suite holds them to
-bit-exact agreement in the exact backend.
+exhaustive-enumeration referee (``oracle_distribution``), a path census
+(``census_by_j``: a pruned depth-first walk that carries the visit count
+and the four transition counters, not path records) and a seeded Monte
+Carlo simulator (``simulate``) expose the same quantities through
+independent routes; the test suite holds them to bit-exact agreement in
+the exact backend.
 """
 
 from visitprob.chain_model import (
@@ -27,14 +29,7 @@ from visitprob.closed_form import (
     visit_distribution,
     visit_probability,
 )
-from visitprob.combinatorics import (
-    BinomialTable,
-    WeakComposition,
-    binomial,
-    enumerate_weak_compositions,
-    log_binomial,
-    weak_composition_count,
-)
+from visitprob.combinatorics import BinomialTable, binomial, log_binomial
 from visitprob.errors import (
     BackendMismatchError,
     EnumerationGuardError,
@@ -53,9 +48,7 @@ from visitprob.numerics import (
 from visitprob.oracle import (
     CensusCell,
     SimulationResult,
-    TrajectoryRecord,
     census_by_j,
-    enumerate_trajectories,
     enumeration_guard,
     oracle_distribution,
     simulate,
@@ -75,11 +68,8 @@ __all__ = [
     "parse_probability",
     # combinatorics
     "BinomialTable",
-    "WeakComposition",
     "binomial",
     "log_binomial",
-    "weak_composition_count",
-    "enumerate_weak_compositions",
     # chain model
     "State",
     "TransitionCounts",
@@ -99,11 +89,9 @@ __all__ = [
     "moments",
     "term_census",
     # oracle
-    "TrajectoryRecord",
     "CensusCell",
     "SimulationResult",
     "enumeration_guard",
-    "enumerate_trajectories",
     "oracle_distribution",
     "census_by_j",
     "simulate",

@@ -22,6 +22,7 @@ from visitprob.errors import ParameterError
 from visitprob.numerics import (
     NumericMode,
     ProbValue,
+    _is_int,
     convert,
     parse_probability,
 )
@@ -172,9 +173,9 @@ class VisitQuery:
     target: State = State.S1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon_n, int) or self.horizon_n < 1:
+        if not _is_int(self.horizon_n) or self.horizon_n < 1:
             raise ParameterError(f"horizon_n must be a positive integer, got {self.horizon_n}")
-        if not isinstance(self.visits_k, int) or not 0 <= self.visits_k <= self.horizon_n:
+        if not _is_int(self.visits_k) or not 0 <= self.visits_k <= self.horizon_n:
             raise ParameterError(
                 f"visits_k must lie in [0, {self.horizon_n}], got {self.visits_k}"
             )

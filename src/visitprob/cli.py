@@ -39,7 +39,7 @@ from visitprob.errors import (
     ParameterError,
     VisitProbError,
 )
-from visitprob.numerics import NumericMode, ProbValue
+from visitprob.numerics import NumericMode, ProbValue, _is_int
 from visitprob.oracle import census_by_j, oracle_distribution, simulate, total_variation
 
 SCHEMA_VERSION = "1"
@@ -181,18 +181,20 @@ def cmd_prob(args) -> int:
     return EXIT_OK
 
 
-def _distribution_record(
-    command: str, args, inputs: dict, dist: VisitDistribution, paths: int | None = None
-) -> tuple[dict, list[str], list[dict]]:
+def _emit_distribution(
+    command: str,
+    args,
+    inputs: dict,
+    dist: VisitDistribution,
+    diagnostics: dict,
+    header: str,
+    started: float,
+) -> int:
+    """Shared output of ``dist`` and ``oracle``: one row per k plus a sum line."""
     rows = [{"k": k, **_prob_fields(m)} for k, m in enumerate(dist.mass)]
     total = dist.total()
     deviation = repr(total.to_float() - 1.0)
     normalization = {**_prob_fields(total), "deviation": deviation}
-    diagnostics: dict = {
-        "terms": sum(_term_count(k, dist.horizon_n) for k in range(dist.horizon_n + 1))
-    }
-    if paths is not None:
-        diagnostics = {"paths": paths}
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -201,14 +203,23 @@ def _distribution_record(
         "normalization": normalization,
         "diagnostics": diagnostics,
     }
+    _maybe_time(record, args, started)
     columns = ["k", "probability"]
     if dist.mode is NumericMode.EXACT:
         columns.append("exact")
     elif dist.mode is NumericMode.LOGSPACE:
         columns.append("log")
     columns.append("deviation")
-    csv_rows = rows + [{"k": "sum", **normalization}]
-    return record, columns, csv_rows
+
+    def text() -> None:
+        print(header)
+        for row in rows:
+            extra = f"  {row['exact']}" if "exact" in row else ""
+            print(f"  k={row['k']:<4d} {row['probability']}{extra}")
+        print(f"  sum = {normalization['probability']}  (deviation {deviation})")
+
+    _emit(record, args.format, columns, rows + [{"k": "sum", **normalization}], text)
+    return EXIT_OK
 
 
 def cmd_dist(args) -> int:
@@ -217,19 +228,9 @@ def cmd_dist(args) -> int:
     chain, inputs = _chain_inputs(args, mode)
     inputs["state"] = args.state
     dist = visit_distribution(args.n, State(args.state), chain)
-    record, columns, csv_rows = _distribution_record("dist", args, inputs, dist)
-    _maybe_time(record, args, started)
-
-    def text() -> None:
-        print(f"P(N{args.state} = k | N = {args.n})   [mode: {mode.value}]")
-        for row in record["rows"]:
-            extra = f"  {row['exact']}" if "exact" in row else ""
-            print(f"  k={row['k']:<4d} {row['probability']}{extra}")
-        norm = record["normalization"]
-        print(f"  sum = {norm['probability']}  (deviation {norm['deviation']})")
-
-    _emit(record, args.format, columns, csv_rows, text)
-    return EXIT_OK
+    terms = sum(_term_count(k, args.n) for k in range(args.n + 1))
+    header = f"P(N{args.state} = k | N = {args.n})   [mode: {mode.value}]"
+    return _emit_distribution("dist", args, inputs, dist, {"terms": terms}, header, started)
 
 
 def cmd_oracle(args) -> int:
@@ -288,24 +289,13 @@ def cmd_oracle(args) -> int:
 
     inputs["state"] = args.state
     dist = oracle_distribution(args.n, State(args.state), chain)
-    record, columns, csv_rows = _distribution_record(
-        "oracle", args, inputs, dist, paths=2**args.n
+    header = (
+        f"enumeration: P(N{args.state} = k | N = {args.n}) over {2**args.n} paths"
+        f"   [mode: {mode.value}]"
     )
-    _maybe_time(record, args, started)
-
-    def text() -> None:
-        print(
-            f"enumeration: P(N{args.state} = k | N = {args.n}) over {2**args.n} paths"
-            f"   [mode: {mode.value}]"
-        )
-        for row in record["rows"]:
-            extra = f"  {row['exact']}" if "exact" in row else ""
-            print(f"  k={row['k']:<4d} {row['probability']}{extra}")
-        norm = record["normalization"]
-        print(f"  sum = {norm['probability']}  (deviation {norm['deviation']})")
-
-    _emit(record, args.format, columns, csv_rows, text)
-    return EXIT_OK
+    return _emit_distribution(
+        "oracle", args, inputs, dist, {"paths": 2**args.n}, header, started
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -378,7 +368,7 @@ def run_validation(n_max: int, grid: str) -> tuple[list[dict], dict]:
     checks, ``within-tol`` for the float normalization check, ``FAIL``
     otherwise (with both values in the detail field).
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ParameterError(f"--n-max must be a positive integer, got {n_max}")
     try:
         values = _GRIDS[grid]

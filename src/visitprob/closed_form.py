@@ -56,6 +56,7 @@ from visitprob.numerics import (
     NumericMode,
     ProbValue,
     _compensated_sum,
+    _is_int,
     _log_sum_exp,
     pow_prob,
     sum_values,
@@ -190,8 +191,8 @@ class _Evaluator:
         "_rows", "_build_row", "_pows", "_combine", "_reduce",
     )
 
-    def __init__(self, chain: ChainSpec, n: int, table: BinomialTable | None = None):
-        if not isinstance(n, int) or n < 1:
+    def __init__(self, chain: ChainSpec, n: int):
+        if not _is_int(n) or n < 1:
             raise ParameterError(f"horizon must be a positive integer, got {n}")
         self.chain = chain
         self.n = n
@@ -202,11 +203,7 @@ class _Evaluator:
         # Each reduction takes (terms, a, b): a and b count the branch's
         # transitions out of S0 and out of S1; only EXACT mode needs them.
         if self.mode is NumericMode.EXACT:
-            if table is not None and table.max_n < n - 1:
-                raise ParameterError(
-                    f"binomial table of size {table.max_n} too small for horizon {n}"
-                )
-            get = (table if table is not None else BinomialTable(n - 1)).get
+            get = BinomialTable(n - 1).get
             self._build_row = lambda m: [get(m, r) for r in range(m + 1)]
             self._pows = [_running_powers(1, b.numerator, n) for b in bases]
             self._combine = operator.mul
@@ -299,11 +296,10 @@ def prob_given_start_s1(
     n: int,
     chain: ChainSpec,
     *,
-    table: BinomialTable | None = None,
     extend_limits: bool = False,
 ) -> ProbValue:
     """P(exactly k visits to S1 | start in S1), before initial-state weighting."""
-    return _Evaluator(chain, n, table).conditional(State.S1, k, extend_limits)
+    return _Evaluator(chain, n).conditional(State.S1, k, extend_limits)
 
 
 def prob_given_start_s0(
@@ -311,22 +307,20 @@ def prob_given_start_s0(
     n: int,
     chain: ChainSpec,
     *,
-    table: BinomialTable | None = None,
     extend_limits: bool = False,
 ) -> ProbValue:
     """P(exactly k visits to S1 | start in S0), before initial-state weighting."""
-    return _Evaluator(chain, n, table).conditional(State.S0, k, extend_limits)
+    return _Evaluator(chain, n).conditional(State.S0, k, extend_limits)
 
 
 def visit_probability(
     query: VisitQuery,
     chain: ChainSpec,
     *,
-    table: BinomialTable | None = None,
     extend_limits: bool = False,
 ) -> ProbValue:
     """P(target visited exactly k times | horizon N) for one query."""
-    ev = _Evaluator(chain, query.horizon_n, table)
+    ev = _Evaluator(chain, query.horizon_n)
     return ev.visit_probability(query.visits_k, query.target, extend_limits)
 
 
@@ -373,7 +367,7 @@ def term_census(k: int, n: int, initial: State, final: State) -> dict[int, TermC
     interior term.  Boundary k values yield the single uniform path or
     nothing.  Chain-independent: counts and exponents only.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParameterError(f"horizon must be a positive integer, got {n}")
     if not 0 <= k <= n:
         raise ParameterError(f"k must lie in [0, {n}], got {k}")

@@ -1,4 +1,4 @@
-"""Binomial coefficients and weak compositions.
+"""Binomial coefficients.
 
 Binomials are zero-extended: ``binomial(n, r) == 0`` whenever ``r < 0``,
 ``r > n`` or ``n < 0``.  The closed-form summation limits exist only to
@@ -10,17 +10,13 @@ checks directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from visitprob.errors import EnumerationGuardError, ParameterError
+from visitprob.errors import ParameterError
 
 __all__ = [
     "binomial",
     "log_binomial",
     "BinomialTable",
-    "WeakComposition",
-    "weak_composition_count",
-    "enumerate_weak_compositions",
 ]
 
 _NEG_INF = float("-inf")
@@ -65,60 +61,3 @@ class BinomialTable:
         if n > self.max_n:
             raise ParameterError(f"binomial row {n} exceeds table size {self.max_n}")
         return self._rows[n][r]
-
-
-@dataclass(frozen=True, slots=True)
-class WeakComposition:
-    """An ordered list of nonnegative parts summing to ``total``."""
-
-    parts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 1:
-            raise ParameterError("a weak composition needs at least one part")
-        if any(p < 0 for p in self.parts):
-            raise ParameterError(f"parts must be nonnegative, got {self.parts}")
-        if sum(self.parts) != self.total:
-            raise ParameterError(
-                f"parts {self.parts} sum to {sum(self.parts)}, not {self.total}"
-            )
-
-
-def weak_composition_count(m: int, n: int) -> int:
-    """Number of ways to write m as an ordered sum of n nonnegative parts."""
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
-    if n == 0:
-        if m == 0:
-            return 1  # the empty composition
-        raise ParameterError(f"cannot compose {m} into 0 parts")
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    return binomial(m + n - 1, n - 1)
-
-
-def _compositions(m: int, n: int):
-    if n == 1:
-        yield (m,)
-        return
-    for head in range(m + 1):
-        for rest in _compositions(m - head, n - 1):
-            yield (head,) + rest
-
-
-def enumerate_weak_compositions(
-    m: int, n: int, max_count: int = 1_000_000
-) -> list[WeakComposition]:
-    """All weak compositions of m into n parts, in lexicographic order.
-
-    Refuses (naming the count) when the output would exceed ``max_count``.
-    """
-    if m < 0 or n < 1:
-        raise ParameterError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
-    count = weak_composition_count(m, n)
-    if count > max_count:
-        raise EnumerationGuardError(
-            f"enumeration of {count} weak compositions exceeds the guard of {max_count}"
-        )
-    return [WeakComposition(parts, m) for parts in _compositions(m, n)]

@@ -234,9 +234,14 @@ def _log_sum_exp(values: list[float]) -> float:
     return anchor + math.log(math.fsum(math.exp(x - anchor) for x in values))
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``: ``True`` is a flag, not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def pow_prob(base: ProbValue, exponent: int) -> ProbValue:
     """``base ** exponent`` for integer ``exponent >= 0``, with ``0**0 == 1``."""
-    if not isinstance(exponent, int) or isinstance(exponent, bool):
+    if not _is_int(exponent):
         raise ParameterError(f"exponent must be an integer, got {exponent!r}")
     if exponent < 0:
         raise ParameterError(f"exponent must be >= 0, got {exponent}")

@@ -3,7 +3,10 @@
 Three referees live here:
 
 * exhaustive enumeration of all 2**N trajectories with their exact
-  probabilities (the brute-force distribution and the per-path census);
+  probabilities (the brute-force distribution), and a depth-first census
+  walk that carries only the current state, the visit count and the four
+  transition counters, pruning a branch once its visits pass k or can no
+  longer reach it;
 * a seeded Monte Carlo simulator with a pinned generator, so histograms
   are reproducible bit for bit across runs and machines;
 * total-variation distance for comparing any two distributions.
@@ -11,10 +14,10 @@ Three referees live here:
 Nothing in this module evaluates the closed-form sums; agreement between
 the two routes is asserted by the test suite, not assumed here.
 
-Enumeration is guarded: horizons above 25 (override with the
+Both walks are guarded: horizons above 25 (override with the
 ``VISITPROB_ENUM_GUARD`` environment variable) are refused because the
-path count doubles per step.  Zero-probability paths are still enumerated
-and contribute zero, keeping the 2**N path-count invariant intact.
+path count doubles per step.  Zero-probability paths are still walked:
+they contribute zero mass, and the census counts paths, not probability.
 """
 
 from __future__ import annotations
@@ -24,20 +27,17 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from visitprob import kernels
 from visitprob.chain_model import ChainSpec, State, TransitionCounts
 from visitprob.closed_form import VisitDistribution
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
-from visitprob.numerics import NumericMode, ProbValue, _log_add, pow_prob
+from visitprob.numerics import NumericMode, ProbValue, _is_int, _log_add, pow_prob
 
 __all__ = [
-    "TrajectoryRecord",
     "CensusCell",
     "SimulationResult",
     "enumeration_guard",
-    "enumerate_trajectories",
     "oracle_distribution",
     "census_by_j",
     "simulate",
@@ -61,7 +61,7 @@ def enumeration_guard() -> int:
 
 
 def _check_enumerable(n: int, guard: int | None) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParameterError(f"horizon must be a positive integer, got {n}")
     limit = guard if guard is not None else enumeration_guard()
     if n > limit:
@@ -69,20 +69,6 @@ def _check_enumerable(n: int, guard: int | None) -> None:
             f"horizon {n} would enumerate 2**{n} = {2 ** n} trajectories, "
             f"above the guard of {limit}"
         )
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """One enumerated path with its probability and transition census."""
-
-    states: tuple[State, ...]
-    probability: ProbValue
-    visits_s1: int
-    transitions: TransitionCounts
-
-    @property
-    def j_s1_to_s0(self) -> int:
-        return self.transitions.n10
 
 
 def _raw_values(chain: ChainSpec):
@@ -97,51 +83,6 @@ def _raw_values(chain: ChainSpec):
         (chain.p10.value, chain.p11.value),
     )
     return init, trans, mul
-
-
-def enumerate_trajectories(
-    n: int, chain: ChainSpec, *, guard: int | None = None
-) -> Iterator[TrajectoryRecord]:
-    """All 2**n trajectories exactly once, lexicographically (S0 < S1).
-
-    Probabilities are computed in the chain's numeric backend by extending
-    a running prefix product one transition at a time.  The stream holds
-    only the current path, so memory stays constant; the guard is checked
-    eagerly, before the iterator is handed out.
-    """
-    _check_enumerable(n, guard)
-    return _trajectory_stream(n, chain)
-
-
-def _trajectory_stream(n: int, chain: ChainSpec) -> Iterator[TrajectoryRecord]:
-    init, trans, mul = _raw_values(chain)
-    mode = chain.mode
-    states: list[int] = []
-    counts = [[0, 0], [0, 0]]
-
-    def walk(depth: int, prev: int, acc) -> Iterator[TrajectoryRecord]:
-        if depth == n:
-            yield TrajectoryRecord(
-                states=tuple(State(s) for s in states),
-                probability=ProbValue(mode, acc),
-                visits_s1=sum(states),
-                transitions=TransitionCounts(
-                    n00=counts[0][0], n01=counts[0][1],
-                    n10=counts[1][0], n11=counts[1][1],
-                ),
-            )
-            return
-        for nxt in (0, 1):
-            states.append(nxt)
-            counts[prev][nxt] += 1
-            yield from walk(depth + 1, nxt, mul(acc, trans[prev][nxt]))
-            counts[prev][nxt] -= 1
-            states.pop()
-
-    for first in (0, 1):
-        states.append(first)
-        yield from walk(1, first, init[first])
-        states.pop()
 
 
 def oracle_distribution(
@@ -213,30 +154,45 @@ def census_by_j(
     """Group the paths (initial -> ... -> final, exactly k visits to S1) by
     their number of S1 -> S0 transitions.
 
-    Verifies monomial homogeneity: every path in a group must carry the
-    same transition-type counts, hence the same probability monomial.  The
-    returned ``term`` is that shared monomial (initial-placement factor
-    excluded).
+    Walks only the paths that start in ``initial`` and can still end with
+    k visits.  Verifies monomial homogeneity: every matching path in a
+    group must carry the same transition-type counts, hence the same
+    probability monomial.  The returned ``term`` is that shared monomial
+    (initial-placement factor excluded).
     """
     if not 0 <= k <= n:
         raise ParameterError(f"k must lie in [0, {n}], got {k}")
+    _check_enumerable(n, guard)
     seen: dict[int, list] = {}
-    for rec in enumerate_trajectories(n, chain, guard=guard):
-        if rec.states[0] is not initial or rec.states[-1] is not final:
-            continue
-        if rec.visits_s1 != k:
-            continue
-        j = rec.transitions.n10
-        cell = seen.get(j)
-        if cell is None:
-            seen[j] = [1, rec.transitions]
-        else:
-            if rec.transitions != cell[1]:
-                raise VisitProbError(
-                    f"monomial homogeneity violated in census cell j={j}: "
-                    f"{rec.transitions} vs {cell[1]}"
+    counts = [[0, 0], [0, 0]]  # counts[a][b]: transitions a -> b so far
+
+    def walk(depth: int, prev: int, visits: int) -> None:
+        # Prune: too many visits already, or too few positions left for k.
+        if visits > k or visits + n - depth < k:
+            return
+        if depth == n:
+            if prev == final:
+                tc = TransitionCounts(
+                    n00=counts[0][0], n01=counts[0][1],
+                    n10=counts[1][0], n11=counts[1][1],
                 )
-            cell[0] += 1
+                cell = seen.get(tc.n10)
+                if cell is None:
+                    seen[tc.n10] = [1, tc]
+                elif tc != cell[1]:
+                    raise VisitProbError(
+                        f"monomial homogeneity violated in census cell j={tc.n10}: "
+                        f"{tc} vs {cell[1]}"
+                    )
+                else:
+                    cell[0] += 1
+            return
+        for nxt in (0, 1):
+            counts[prev][nxt] += 1
+            walk(depth + 1, nxt, visits + nxt)
+            counts[prev][nxt] -= 1
+
+    walk(1, int(initial), int(initial))
     out: dict[int, CensusCell] = {}
     for j in sorted(seen):
         count, tc = seen[j]
@@ -270,10 +226,6 @@ class SimulationResult:
             mode=NumericMode.FLOAT,
             mass=tuple(ProbValue(NumericMode.FLOAT, f) for f in freqs),
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResult:

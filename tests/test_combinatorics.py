@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from visitprob.combinatorics import (
-    BinomialTable,
-    WeakComposition,
-    binomial,
-    enumerate_weak_compositions,
-    log_binomial,
-    weak_composition_count,
-)
-from visitprob.errors import EnumerationGuardError, ParameterError
+from visitprob.combinatorics import BinomialTable, binomial, log_binomial
+from visitprob.errors import ParameterError
 
 
 @lru_cache(maxsize=None)
@@ -102,63 +95,8 @@ def brute_force_compositions(m: int, n: int) -> list[tuple[int, ...]]:
 
 
 class TestWeakCompositions:
-    def test_count_two_into_two(self):
-        assert weak_composition_count(2, 2) == 3
-
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_count_of_zero(self, n):
-        assert weak_composition_count(0, n) == 1
-
-    def test_count_five_into_three(self):
-        assert weak_composition_count(5, 3) == len(brute_force_compositions(5, 3)) == 21
-
-    def test_zero_parts(self):
-        assert weak_composition_count(0, 0) == 1
-        with pytest.raises(ParameterError):
-            weak_composition_count(3, 0)
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ParameterError):
-            weak_composition_count(-1, 2)
-
-    def test_enumerate_two_into_two_lexicographic(self):
-        comps = enumerate_weak_compositions(2, 2)
-        assert [c.parts for c in comps] == [(0, 2), (1, 1), (2, 0)]
-        assert all(c.total == 2 for c in comps)
-
-    def test_enumerate_zero_into_three(self):
-        assert [c.parts for c in enumerate_weak_compositions(0, 3)] == [(0, 0, 0)]
-
-    def test_enumerate_three_into_two(self):
-        assert len(enumerate_weak_compositions(3, 2)) == 4
-
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(9) for n in range(1, 6)])
-    def test_enumeration_matches_count_and_oracle(self, m, n):
-        comps = enumerate_weak_compositions(m, n)
-        assert len(comps) == weak_composition_count(m, n)
-        assert [c.parts for c in comps] == brute_force_compositions(m, n)
-        assert [c.parts for c in comps] == sorted(c.parts for c in comps)
-
-    def test_guard_names_the_count(self):
-        with pytest.raises(EnumerationGuardError, match="3003"):
-            enumerate_weak_compositions(10, 6, max_count=100)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ParameterError):
-            enumerate_weak_compositions(2, 0)
-        with pytest.raises(ParameterError):
-            enumerate_weak_compositions(-1, 2)
-
-
-class TestWeakCompositionType:
-    def test_validates_sum(self):
-        with pytest.raises(ParameterError):
-            WeakComposition(parts=(1, 2), total=4)
-
-    def test_validates_nonnegative(self):
-        with pytest.raises(ParameterError):
-            WeakComposition(parts=(1, -1), total=0)
-
-    def test_requires_at_least_one_part(self):
-        with pytest.raises(ParameterError):
-            WeakComposition(parts=(), total=0)
+    def test_count_is_stars_and_bars(self, m, n):
+        """The closed form counts the ways to spread m self-transitions over
+        n runs as C(m + n - 1, n - 1)."""
+        assert len(brute_force_compositions(m, n)) == binomial(m + n - 1, n - 1)

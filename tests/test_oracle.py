@@ -1,20 +1,23 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 import pytest
 
-from visitprob.chain_model import State, build_chain
+from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery, build_chain
+from visitprob.cli import run_validation
 from visitprob.closed_form import (
     prob_given_start_s0,
     prob_given_start_s1,
     term_census,
     visit_distribution,
 )
-from visitprob.errors import EnumerationGuardError, ParameterError
-from visitprob.numerics import NumericMode
+from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
+from visitprob.numerics import NumericMode, ProbValue, pow_prob
 from visitprob.oracle import (
+    CensusCell,
     census_by_j,
-    enumerate_trajectories,
     enumeration_guard,
     oracle_distribution,
     simulate,
@@ -29,31 +32,109 @@ GENERIC = ("3/10", "2/5", "1/2")
 GOLDEN_HISTOGRAM_N4_SYM_SEED42_1000 = (64, 235, 375, 258, 68)
 
 
-class TestEnumerateTrajectories:
+# ---------------------------------------------------------------------------
+# Reference census: every one of the 2**n paths as a record, unpruned.
+# census_by_j must return the same cells as this record stream.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class TrajectoryRecord:
+    """One enumerated path with its probability and transition census."""
+
+    states: tuple[State, ...]
+    probability: ProbValue
+    visits_s1: int
+    transitions: TransitionCounts
+
+
+def reference_trajectories(n: int, chain: ChainSpec) -> Iterator[TrajectoryRecord]:
+    """All 2**n trajectories exactly once, lexicographically (S0 < S1),
+    with probabilities extended one transition at a time in the chain's
+    backend."""
+    mul = (lambda a, b: a + b) if chain.mode is NumericMode.LOGSPACE else (lambda a, b: a * b)
+    init = (chain.p0.value, chain.p1.value)
+    trans = ((chain.p00.value, chain.p01.value), (chain.p10.value, chain.p11.value))
+    states: list[int] = []
+    counts = [[0, 0], [0, 0]]
+
+    def walk(depth: int, prev: int, acc) -> Iterator[TrajectoryRecord]:
+        if depth == n:
+            yield TrajectoryRecord(
+                states=tuple(State(s) for s in states),
+                probability=ProbValue(chain.mode, acc),
+                visits_s1=sum(states),
+                transitions=TransitionCounts(
+                    n00=counts[0][0], n01=counts[0][1],
+                    n10=counts[1][0], n11=counts[1][1],
+                ),
+            )
+            return
+        for nxt in (0, 1):
+            states.append(nxt)
+            counts[prev][nxt] += 1
+            yield from walk(depth + 1, nxt, mul(acc, trans[prev][nxt]))
+            counts[prev][nxt] -= 1
+            states.pop()
+
+    for first in (0, 1):
+        states.append(first)
+        yield from walk(1, first, init[first])
+        states.pop()
+
+
+def reference_census(n: int, chain: ChainSpec) -> dict[tuple, dict[int, CensusCell]]:
+    """Census cells of every (k, initial, final) from one pass over all
+    paths; groups no path reaches are absent."""
+    seen: dict[tuple, dict[int, list]] = {}
+    for rec in reference_trajectories(n, chain):
+        group = seen.setdefault((rec.visits_s1, rec.states[0], rec.states[-1]), {})
+        tc = rec.transitions
+        cell = group.setdefault(tc.n10, [0, tc])
+        if tc != cell[1]:
+            raise VisitProbError(f"monomial homogeneity violated: {tc} vs {cell[1]}")
+        cell[0] += 1
+    out = {}
+    for key, group in seen.items():
+        cells = {}
+        for j in sorted(group):
+            count, tc = group[j]
+            term = (
+                pow_prob(chain.p11, tc.n11)
+                * pow_prob(chain.p10, tc.n10)
+                * pow_prob(chain.p01, tc.n01)
+                * pow_prob(chain.p00, tc.n00)
+            )
+            cells[j] = CensusCell(j=j, count=count, transitions=tc, term=term)
+        out[key] = cells
+    return out
+
+
+class TestReferenceTrajectories:
     def test_single_position(self):
         c = build_chain(*GENERIC)
-        recs = list(enumerate_trajectories(1, c))
+        recs = list(reference_trajectories(1, c))
         assert [r.probability.value for r in recs] == [c.p0.value, c.p1.value]
         assert [r.states for r in recs] == [(State.S0,), (State.S1,)]
 
     def test_two_positions(self):
         c = build_chain(*GENERIC)
-        recs = {r.states: r for r in enumerate_trajectories(2, c)}
+        recs = {r.states: r for r in reference_trajectories(2, c)}
         assert len(recs) == 4
         s1s0 = recs[(State.S1, State.S0)]
         assert s1s0.probability.value == c.p1.value * c.p10.value
         assert s1s0.visits_s1 == 1
-        assert s1s0.j_s1_to_s0 == 1
+        assert s1s0.transitions.n10 == 1
 
     def test_lexicographic_order_and_count(self):
         c = build_chain(*GENERIC)
-        seen = [tuple(int(s) for s in r.states) for r in enumerate_trajectories(5, c)]
+        seen = [tuple(int(s) for s in r.states) for r in reference_trajectories(5, c)]
         assert len(seen) == 32
         assert seen == sorted(seen)
 
     def test_record_invariants(self):
         c = build_chain(*GENERIC)
-        for r in enumerate_trajectories(6, c):
+        for r in reference_trajectories(6, c):
             assert r.visits_s1 == sum(int(s) for s in r.states)
             assert r.transitions.total == 5
             monomial = (
@@ -67,37 +148,17 @@ class TestEnumerateTrajectories:
     @pytest.mark.parametrize("p01,p10,p1", [(0, 0, 0), (1, 1, 1), ("1/4", 1, "1/2"), GENERIC])
     def test_probabilities_sum_to_one(self, p01, p10, p1):
         c = build_chain(p01, p10, p1)
-        total = sum(r.probability.value for r in enumerate_trajectories(9, c))
+        total = sum(r.probability.value for r in reference_trajectories(9, c))
         assert total == 1
 
     def test_fig_block_count(self):
         c = build_chain(*GENERIC)
         matching = [
             r
-            for r in enumerate_trajectories(8, c)
+            for r in reference_trajectories(8, c)
             if r.states[0] is State.S1 and r.states[-1] is State.S0 and r.visits_s1 == 4
         ]
         assert len(matching) == 20
-
-    def test_guard_refuses_eagerly(self):
-        c = build_chain(*GENERIC)
-        with pytest.raises(EnumerationGuardError, match="67108864"):
-            enumerate_trajectories(26, c)
-
-    def test_guard_override_parameter(self):
-        c = build_chain(*GENERIC)
-        enumerate_trajectories(26, c, guard=30)  # allowed, not consumed
-        with pytest.raises(EnumerationGuardError):
-            enumerate_trajectories(5, c, guard=4)
-
-    def test_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "4")
-        assert enumeration_guard() == 4
-        with pytest.raises(EnumerationGuardError):
-            enumerate_trajectories(5, build_chain(*GENERIC))
-        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "notanint")
-        with pytest.raises(ParameterError):
-            enumeration_guard()
 
 
 class TestOracleDistribution:
@@ -134,6 +195,55 @@ class TestOracleDistribution:
 
 
 class TestCensus:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize(
+        "spec", [GENERIC, (0, 1, "1/2"), (1, 0, 0)], ids=["generic", "flip", "absorbing"]
+    )
+    def test_pruned_walk_matches_reference_census(self, spec, n):
+        """Cell for cell, term included, for every (k, initial, final); the
+        degenerate chains give most paths probability zero, and those paths
+        must still be counted."""
+        chain = build_chain(*spec)
+        reference = reference_census(n, chain)
+        paths = 0
+        for k, initial, final in product(range(n + 1), State, State):
+            cells = census_by_j(n, k, initial, final, chain)
+            assert cells == reference.get((k, initial, final), {}), (k, initial, final)
+            paths += sum(c.count for c in cells.values())
+        assert paths == 2**n
+
+    def test_guard_refuses_eagerly(self):
+        c = build_chain(*GENERIC)
+        with pytest.raises(EnumerationGuardError, match="67108864"):
+            census_by_j(26, 1, State.S1, State.S0, c)
+        with pytest.raises(EnumerationGuardError, match="67108864"):
+            oracle_distribution(26, State.S1, c)
+
+    def test_guard_override_parameter(self):
+        c = build_chain(*GENERIC)
+        # The one path S1 S0 ... S0: allowed past the default guard, and cheap
+        # because every branch that visits S1 again is pruned at once.
+        cells = census_by_j(26, 1, State.S1, State.S0, c, guard=30)
+        assert {j: (x.count, x.transitions) for j, x in cells.items()} == {
+            1: (1, TransitionCounts(n00=24, n10=1))
+        }
+        with pytest.raises(EnumerationGuardError):
+            census_by_j(5, 2, State.S1, State.S0, c, guard=4)
+        with pytest.raises(EnumerationGuardError):
+            oracle_distribution(5, State.S1, c, guard=4)
+
+    def test_guard_env_override(self, monkeypatch):
+        c = build_chain(*GENERIC)
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "4")
+        assert enumeration_guard() == 4
+        with pytest.raises(EnumerationGuardError):
+            census_by_j(5, 2, State.S1, State.S0, c)
+        with pytest.raises(EnumerationGuardError):
+            oracle_distribution(5, State.S1, c)
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "notanint")
+        with pytest.raises(ParameterError):
+            enumeration_guard()
+
     def test_reference_block_structure(self):
         cells = census_by_j(8, 4, State.S1, State.S0, build_chain(*GENERIC))
         assert {j: c.count for j, c in cells.items()} == {1: 1, 2: 9, 3: 9, 4: 1}
@@ -263,3 +373,24 @@ class TestTotalVariation:
             total_variation(
                 visit_distribution(4, State.S1, c), visit_distribution(5, State.S1, c)
             )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: visit_distribution(True, State.S1, c),
+        lambda c: prob_given_start_s1(0, True, c),
+        lambda c: oracle_distribution(True, State.S1, c),
+        lambda c: census_by_j(True, 0, State.S1, State.S1, c),
+        lambda c: term_census(0, True, State.S0, State.S0),
+        lambda c: VisitQuery(True, 0),
+        lambda c: run_validation(True, "coarse"),
+    ],
+    ids=[
+        "visit_distribution", "prob_given_start_s1", "oracle_distribution",
+        "census_by_j", "term_census", "VisitQuery", "run_validation",
+    ],
+)
+def test_bool_horizon_rejected(call):
+    with pytest.raises(ParameterError, match="horizon|n-max"):
+        call(build_chain(*GENERIC))
