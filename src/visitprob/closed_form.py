@@ -21,13 +21,21 @@ nonzero.  With zero-extended binomials the sums may equivalently run to
 N; ``extend_limits=True`` evaluates that way so the equivalence can be
 tested.
 
-Numeric backends share one term loop.  Each mode supplies binomial rows
+Numeric backends share one term pipeline.  Each mode supplies binomial rows
 (Pascal table, incremental doubles, or log-factorial differences), the
 powers 0..N of each transition probability (running products, or
 exponent-weighted logs), the operator joining a term's factors (product, or
 sum of logs) and the reduction of one branch's terms (exact division,
 compensated sum, or log-sum-exp, which keeps horizons in the thousands
 stable).
+
+Term j reads each of its six factors at an index linear in j, so the terms
+j = 1..upper of one branch read six contiguous runs: one slice per factor,
+joined by ``map`` in C rather than by a Python loop.  The two binomial
+indices and the exponents of p10 and p01 rise with j, so their slices run
+forward; the exponents of p11 (k-j+o11) and p00 (n-k-j+o00) fall with j, so
+those two slices are read reversed.  The join applies the operator in one
+fixed order, so every backend's bits are those of a per-term loop.
 
 EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
 terms they share one denominator d0; likewise p10 and p11 share d1.  The
@@ -47,6 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery
 # log_binomial is unused here, but perfbench/tracing.py looks it up on this module.
@@ -90,6 +99,12 @@ class SummationLimits:
     c3: int
 
 
+def _check_visits(k: int, n: int) -> None:
+    """Reject a visit count that is not an integer (``bool`` included) in [0, n]."""
+    if not _is_int(k) or not 0 <= k <= n:
+        raise ParameterError(f"k must be an integer in [0, {n}], got {k!r}")
+
+
 def summation_limits(k: int, n: int) -> SummationLimits:
     """Limits for interior k; the boundary cases bypass the sums entirely."""
     if not 0 < k < n:
@@ -107,8 +122,7 @@ class VisitDistribution:
     mass: tuple[ProbValue, ...]
 
     def probability(self, k: int) -> ProbValue:
-        if not 0 <= k <= self.horizon_n:
-            raise ParameterError(f"k must lie in [0, {self.horizon_n}], got {k}")
+        _check_visits(k, self.horizon_n)
         return self.mass[k]
 
     def total(self) -> ProbValue:
@@ -218,7 +232,9 @@ class _Evaluator:
         else:
             # lf[i] = log i!; row entries subtract in log_binomial's order.
             lf = [math.lgamma(i + 1) for i in range(n)]
-            self._build_row = lambda m: [lf[m] - lf[r] - lf[m - r] for r in range(m + 1)]
+            self._build_row = lambda m: list(
+                map(operator.sub, map(operator.sub, repeat(lf[m]), lf), lf[m::-1])
+            )
             self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
             self._combine = operator.add
             self._reduce = lambda terms, a, b: _log_sum_exp(terms)
@@ -230,22 +246,27 @@ class _Evaluator:
         return row
 
     def _interior_terms(self, start: State, final: State, k: int, upper: int) -> list:
-        """Payloads of the nonzero terms j = 1..upper of one interior sum."""
+        """Payloads of the nonzero terms j = 1..upper of one interior sum.
+
+        Clipping ``upper`` to both row lengths drops the zero-extended
+        binomials past the summation limit.  Each factor of terms 1..hi is
+        one slice; the join applies the mode's operator in the order
+        ((((row1 . row2) . p11) . p10) . p01) . p00.
+        """
         n = self.n
         o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
         row1, row2 = self._binomial_row(k - 1), self._binomial_row(n - k - 1)
+        hi = min(upper, len(row1) - 1 - o1, len(row2) - 1 - o2)
         pow00, pow01, pow10, pow11 = self._pows
         op = self._combine
-        out = []
-        for j in range(1, upper + 1):
-            r1, r2 = j + o1, j + o2
-            if r1 >= len(row1) or r2 >= len(row2):
-                continue  # zero-extended binomial, past the summation limit
-            term = op(row1[r1], row2[r2])
-            term = op(op(term, pow11[k - j + o11]), pow10[j + o10])
-            out.append(op(op(term, pow01[j + o01]), pow00[n - k - j + o00]))
-        self.terms_evaluated += len(out)
-        return out
+        # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
+        terms = map(op, row1[1 + o1 : hi + 1 + o1], row2[1 + o2 : hi + 1 + o2])
+        terms = map(op, terms, reversed(pow11[k - hi + o11 : k + o11]))
+        terms = map(op, terms, pow10[1 + o10 : hi + 1 + o10])
+        terms = map(op, terms, pow01[1 + o01 : hi + 1 + o01])
+        terms = list(map(op, terms, reversed(pow00[n - k - hi + o00 : n - k + o00])))
+        self.terms_evaluated += hi
+        return terms
 
     def _interior_sum(self, start: State, final: State, k: int, extend: bool) -> ProbValue:
         n = self.n
@@ -257,8 +278,7 @@ class _Evaluator:
     def conditional(self, start: State, k: int, extend: bool = False) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
         n = self.n
-        if not 0 <= k <= n:
-            raise ParameterError(f"k must lie in [0, {n}], got {k}")
+        _check_visits(k, n)
         if start is State.S1:
             if k == 0:
                 return ProbValue.zero(self.mode)
@@ -369,8 +389,7 @@ def term_census(k: int, n: int, initial: State, final: State) -> dict[int, TermC
     """
     if not _is_int(n) or n < 1:
         raise ParameterError(f"horizon must be a positive integer, got {n}")
-    if not 0 <= k <= n:
-        raise ParameterError(f"k must lie in [0, {n}], got {k}")
+    _check_visits(k, n)
     if k == 0:
         if initial is State.S0 and final is State.S0:
             return {0: TermCell(1, TransitionCounts(n00=n - 1))}

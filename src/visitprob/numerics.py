@@ -24,9 +24,11 @@ are safe to share across threads without synchronization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 
 from visitprob.errors import BackendMismatchError, ParameterError
 
@@ -211,12 +213,18 @@ def _log_sub(a: float, b: float) -> float:
 
 
 def _compensated_sum(values: list[float]) -> float:
-    """Neumaier-compensated sum of doubles."""
+    """Neumaier-compensated sum of nonnegative doubles.
+
+    Every input must be a nonnegative double (``inf`` included): then the
+    running total is too, and ``total >= x`` picks the same branch as the
+    textbook ``abs(total) >= abs(x)``.  ``ProbValue`` rejects negative
+    floats, and closed-form terms are products of nonnegative factors.
+    """
     total = 0.0
     comp = 0.0
     for x in values:
         t = total + x
-        if abs(total) >= abs(x):
+        if total >= x:
             comp += (total - t) + x
         else:
             comp += (x - t) + total
@@ -231,7 +239,7 @@ def _log_sum_exp(values: list[float]) -> float:
     anchor = max(values)
     if anchor == _NEG_INF:
         return _NEG_INF
-    return anchor + math.log(math.fsum(math.exp(x - anchor) for x in values))
+    return anchor + math.log(math.fsum(map(math.exp, map(operator.sub, values, repeat(anchor)))))
 
 
 def _is_int(value) -> bool:

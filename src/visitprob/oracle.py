@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from visitprob import kernels
 from visitprob.chain_model import ChainSpec, State, TransitionCounts
-from visitprob.closed_form import VisitDistribution
+from visitprob.closed_form import VisitDistribution, _check_visits
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
 from visitprob.numerics import NumericMode, ProbValue, _is_int, _log_add, pow_prob
 
@@ -60,9 +60,12 @@ def enumeration_guard() -> int:
         raise ParameterError(f"VISITPROB_ENUM_GUARD must be an integer, got {raw!r}") from exc
 
 
-def _check_enumerable(n: int, guard: int | None) -> None:
+def _check_enumerable(n: int, guard: int | None, k: int | None = None) -> None:
+    """Validate the horizon, then ``k`` when given, then the guard."""
     if not _is_int(n) or n < 1:
         raise ParameterError(f"horizon must be a positive integer, got {n}")
+    if k is not None:
+        _check_visits(k, n)
     limit = guard if guard is not None else enumeration_guard()
     if n > limit:
         raise EnumerationGuardError(
@@ -160,9 +163,7 @@ def census_by_j(
     probability monomial.  The returned ``term`` is that shared monomial
     (initial-placement factor excluded).
     """
-    if not 0 <= k <= n:
-        raise ParameterError(f"k must lie in [0, {n}], got {k}")
-    _check_enumerable(n, guard)
+    _check_enumerable(n, guard, k)
     seen: dict[int, list] = {}
     counts = [[0, 0], [0, 0]]  # counts[a][b]: transitions a -> b so far
 

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from visitprob.chain_model import State, VisitQuery, build_chain, swap_labels
 from visitprob.closed_form import (
+    _OFFSETS,
     FLOAT_MAX_HORIZON,
+    _branch_limit,
+    _Evaluator,
     moments,
     prob_given_start_s0,
     prob_given_start_s1,
@@ -61,9 +65,40 @@ MASS_DIGESTS = {
     ("exact", "generic", "S1", "200"): "2e53e43fd8b5d667ce249ca360f0932c23c77920b02aac69251bc3608c78d534",
     ("exact", "skewed", "S0", "200"): "c67b0a21925a7454e13712470dac2f6631451ba6f68438ad539a3a77d3e2ed9b",
     ("exact", "skewed", "S1", "200"): "2c11563aeace30523102702d52fc2fcbb39979d7d0cd2a52d315ea13f6fcc308",
+    ("float", "generic", "S1", "1000"): "b9d62d279caeef3f95e8df944355a6145ccc4e0f97777c03fa1bd3cd813549f5",
+    ("float", "skewed", "S1", "1000"): "ed08768cdbf87fc7102aa11548bc4ed3da9433e3236fc07dd9978df46f135696",
+    ("logspace", "generic", "S1", "1000"): "33812720d8613af21c7e081a0e10e1d4b0803fb64b54b3ca1f0f7c36860b3d53",
+    ("logspace", "skewed", "S1", "1000"): "fdd8b658627082f13d26c840871d9d9a4d9b5c922bfe34134a5c23a7b2c5bca6",
+    ("float", "flip", "S1", "1035"): "66cfb45714e9d993f08cfd8b32c1b108cd886ec50ed92be562dccdc2e59f23ac",
+    ("float", "absorbing", "S1", "1035"): "04dd6b35c006fe34238e95b6a7f9acb13f61e39ec9232e4fcf06784a9cba9a75",
 }
 MASS_DIGEST_HORIZON = {"exact": 120, "float": 300, "logspace": 300}
-MASS_DIGEST_CHAINS = {"generic": GENERIC, "skewed": SKEWED}
+MASS_DIGEST_CHAINS = {
+    "generic": GENERIC,
+    "skewed": SKEWED,
+    "flip": (0, 1, "1/2"),
+    "absorbing": (1, 0, 0),
+}
+
+
+
+def reference_interior_terms(ev, start, final, k, upper):
+    """The per-j loop the slice pipeline replaced: term j of one branch,
+    skipping j past either binomial row (the zero-extended binomials)."""
+    n = ev.n
+    o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
+    row1, row2 = ev._binomial_row(k - 1), ev._binomial_row(n - k - 1)
+    pow00, pow01, pow10, pow11 = ev._pows
+    op = ev._combine
+    out = []
+    for j in range(1, upper + 1):
+        r1, r2 = j + o1, j + o2
+        if r1 >= len(row1) or r2 >= len(row2):
+            continue
+        term = op(row1[r1], row2[r2])
+        term = op(op(term, pow11[k - j + o11]), pow10[j + o10])
+        out.append(op(op(term, pow01[j + o01]), pow00[n - k - j + o00]))
+    return out
 
 rational = st.fractions(min_value=0, max_value=1, max_denominator=12)
 chains = st.builds(build_chain, rational, rational, rational)
@@ -250,6 +285,21 @@ class TestSymmetries:
         base = visit_distribution(n, State.S1, chain)
         extended = visit_distribution(n, State.S1, chain, extend_limits=True)
         assert [m.value for m in base.mass] == [m.value for m in extended.mass]
+
+
+class TestInteriorTerms:
+    @pytest.mark.parametrize("mode", list(NumericMode))
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_pipeline_matches_reference_loop(self, mode, n):
+        """At k = 1 and k = n-1 one row has a single entry, so the clip to
+        the row lengths bites; upper = n is the extend_limits case."""
+        ev = _Evaluator(build_chain(*SKEWED, mode), n)
+        for k, (start, final), extend in product({1, n - 1}, _OFFSETS, (False, True)):
+            upper = n if extend else _branch_limit(start, final, k, n)
+            expected = reference_interior_terms(ev, start, final, k, upper)
+            before = ev.terms_evaluated
+            assert ev._interior_terms(start, final, k, upper) == expected
+            assert ev.terms_evaluated - before == len(expected)
 
 
 class TestMoments:

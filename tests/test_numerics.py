@@ -9,6 +9,8 @@ from visitprob.errors import BackendMismatchError, ParameterError
 from visitprob.numerics import (
     NumericMode,
     ProbValue,
+    _compensated_sum,
+    _log_sum_exp,
     convert,
     parse_probability,
     pow_prob,
@@ -18,6 +20,56 @@ from visitprob.numerics import (
 EXACT = NumericMode.EXACT
 FLOAT = NumericMode.FLOAT
 LOG = NumericMode.LOGSPACE
+NEG_INF = float("-inf")
+
+
+# ---------------------------------------------------------------------------
+# Reference reductions: the textbook loop and generator forms.  The library's
+# versions must return the same bits.
+# ---------------------------------------------------------------------------
+
+
+def reference_compensated_sum(values):
+    total = 0.0
+    comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+def reference_log_sum_exp(values):
+    if not values:
+        return NEG_INF
+    anchor = max(values)
+    if anchor == NEG_INF:
+        return NEG_INF
+    return anchor + math.log(math.fsum(math.exp(x - anchor) for x in values))
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Equal doubles with equal signs (so 0.0 and -0.0 differ), or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# Nonnegative doubles: zeros of both signs, subnormals, and inf.
+nonnegative_doubles = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_subnormal=True),
+    st.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072009e-308, math.inf]),
+)
+# Logs of probabilities: any finite double or -inf (log of zero).
+log_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-800.0, max_value=0.0),
+    st.just(NEG_INF),
+)
 
 
 class TestPowProb:
@@ -101,6 +153,22 @@ class TestSumValues:
         got = sum_values([ProbValue.from_float(x) for x in xs], FLOAT).value
         s = float(exact)
         assert abs(Fraction(got) - exact) <= Fraction(4 * math.ulp(s)) * max(len(xs), 1)
+
+
+class TestReductionsMatchReference:
+    @given(st.lists(nonnegative_doubles, max_size=60))
+    def test_compensated_sum_bits(self, xs):
+        assert same_bits(_compensated_sum(xs), reference_compensated_sum(xs))
+
+    @given(st.lists(log_values, max_size=60))
+    def test_log_sum_exp_bits(self, xs):
+        assert same_bits(_log_sum_exp(xs), reference_log_sum_exp(xs))
+
+    @pytest.mark.parametrize(
+        "xs", [[], [NEG_INF], [NEG_INF] * 4, [-3.5], [0.0], [NEG_INF, -2.0, NEG_INF]]
+    )
+    def test_log_sum_exp_edge_cases(self, xs):
+        assert same_bits(_log_sum_exp(xs), reference_log_sum_exp(xs))
 
 
 class TestConvert:

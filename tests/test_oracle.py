@@ -394,3 +394,29 @@ class TestTotalVariation:
 def test_bool_horizon_rejected(call):
     with pytest.raises(ParameterError, match="horizon|n-max"):
         call(build_chain(*GENERIC))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: prob_given_start_s1(True, 5, c),
+        lambda c: prob_given_start_s1(2.0, 5, c),
+        lambda c: prob_given_start_s0(2.0, 5, c),
+        lambda c: visit_distribution(5, State.S1, c).probability(True),
+        lambda c: census_by_j(5, 2.0, State.S1, State.S0, c),
+        lambda c: census_by_j(5, True, State.S1, State.S0, c),
+        lambda c: census_by_j("5", 2, State.S1, State.S0, c),
+        lambda c: term_census(2.0, 5, State.S1, State.S0),
+        lambda c: term_census(True, 5, State.S1, State.S0),
+    ],
+    ids=[
+        "prob_given_start_s1-bool", "prob_given_start_s1-float", "prob_given_start_s0-float",
+        "probability-bool", "census_by_j-float", "census_by_j-bool", "census_by_j-str-n",
+        "term_census-float", "term_census-bool",
+    ],
+)
+def test_non_int_k_rejected(call):
+    """A visit count must be an int, not a bool or float; the horizon is
+    validated before k."""
+    with pytest.raises(ParameterError, match="k must be an integer|horizon"):
+        call(build_chain(*GENERIC))
