@@ -39,7 +39,7 @@ fixed order, so every backend's bits are those of a per-term loop.
 
 EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
 terms they share one denominator d0; likewise p10 and p11 share d1.  The
-loop multiplies binomials by powers of the four *numerators*, and the
+pipeline multiplies binomials by powers of the four *numerators*, and the
 reduction divides the branch's integer sum once by d0**a * d1**b, where
 a = n-k+o00+o01 and b = k+o10+o11 count the branch's transitions out of S0
 and out of S1 (both independent of j).  That builds one ``Fraction`` per
@@ -249,9 +249,8 @@ class _Evaluator:
         """Payloads of the nonzero terms j = 1..upper of one interior sum.
 
         Clipping ``upper`` to both row lengths drops the zero-extended
-        binomials past the summation limit.  Each factor of terms 1..hi is
-        one slice; the join applies the mode's operator in the order
-        ((((row1 . row2) . p11) . p10) . p01) . p00.
+        binomials past the summation limit.  The join applies the mode's
+        operator in the order ((((row1 . row2) . p11) . p10) . p01) . p00.
         """
         n = self.n
         o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
