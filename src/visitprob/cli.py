@@ -16,6 +16,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -567,9 +568,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process: building it costs about as much as a small exact query.
+    Parsing leaves no state in it; each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except EnumerationGuardError as exc:

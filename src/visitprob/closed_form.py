@@ -38,12 +38,16 @@ those two slices are read reversed.  The join applies the operator in one
 fixed order, so every backend's bits are those of a per-term loop.
 
 EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
-terms they share one denominator d0; likewise p10 and p11 share d1.  The
-pipeline multiplies binomials by powers of the four *numerators*, and the
-reduction divides the branch's integer sum once by d0**a * d1**b, where
-a = n-k+o00+o01 and b = k+o10+o11 count the branch's transitions out of S0
-and out of S1 (both independent of j).  That builds one ``Fraction`` per
-branch, equal to the sum of the per-term fractions.
+terms they share one denominator d0; likewise p10 and p11 share d1, and p0
+and p1 share w.  The pipeline multiplies binomials by powers of the four
+*numerators*, and a branch's integer sum is its numerator over d0**a * d1**b,
+where a = n-k+o00+o01 and b = k+o10+o11 count the branch's transitions out
+of S0 and out of S1 (both independent of j).  A branch ending in S0 has
+a = n-k-1 and b = k, one ending in S1 a = n-k and b = k-1, so scaling the
+first by d0 and the second by d1 puts all four branches of one k over
+d0**(n-k) * d1**k.  Weighted by the numerators of p1 and p0, they make one
+integer over w * d0**(n-k) * d1**k: one ``Fraction`` (one gcd) per interior
+k, equal to the sum of the per-term fractions.
 
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
@@ -107,8 +111,8 @@ def _check_visits(k: int, n: int) -> None:
 
 def summation_limits(k: int, n: int) -> SummationLimits:
     """Limits for interior k; the boundary cases bypass the sums entirely."""
-    if not 0 < k < n:
-        raise ParameterError(f"summation limits need 0 < k < n, got k={k}, n={n}")
+    if not (_is_int(k) and _is_int(n) and 0 < k < n):
+        raise ParameterError(f"summation limits need integers 0 < k < n, got k={k!r}, n={n!r}")
     return SummationLimits(min(k, n - k), min(k - 1, n - k), min(k, n - k - 1))
 
 
@@ -198,11 +202,12 @@ def _running_powers(one, base, n: int) -> list:
 class _Evaluator:
     """Shared per-call state: the mode's binomial-row builder (rows cached
     by index), powers of p00, p01, p10 and p11 (of their numerators in EXACT
-    mode), term operator and branch reduction."""
+    mode), term operator and branch reduction; in EXACT mode also the
+    denominators d0 of p00/p01 and d1 of p10/p11."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated",
-        "_rows", "_build_row", "_pows", "_combine", "_reduce",
+        "_rows", "_build_row", "_pows", "_combine", "_reduce", "_d0", "_d1",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -214,21 +219,19 @@ class _Evaluator:
         self.terms_evaluated = 0
         self._rows: dict[int, list] = {}
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
-        # Each reduction takes (terms, a, b): a and b count the branch's
-        # transitions out of S0 and out of S1; only EXACT mode needs them.
         if self.mode is NumericMode.EXACT:
             get = BinomialTable(n - 1).get
             self._build_row = lambda m: [get(m, r) for r in range(m + 1)]
             self._pows = [_running_powers(1, b.numerator, n) for b in bases]
             self._combine = operator.mul
-            den0 = _running_powers(1, chain.p01.value.denominator, n)
-            den1 = _running_powers(1, chain.p10.value.denominator, n)
-            self._reduce = lambda terms, a, b: Fraction(sum(terms), den0[a] * den1[b])
+            self._reduce = sum
+            self._d0 = chain.p01.value.denominator
+            self._d1 = chain.p10.value.denominator
         elif self.mode is NumericMode.FLOAT:
             self._build_row = _float_row
             self._pows = [_running_powers(1.0, b, n) for b in bases]
             self._combine = operator.mul
-            self._reduce = lambda terms, a, b: _finite_sum(terms, n)
+            self._reduce = lambda terms: _finite_sum(terms, n)
         else:
             # lf[i] = log i!; row entries subtract in log_binomial's order.
             lf = [math.lgamma(i + 1) for i in range(n)]
@@ -237,7 +240,7 @@ class _Evaluator:
             )
             self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
             self._combine = operator.add
-            self._reduce = lambda terms, a, b: _log_sum_exp(terms)
+            self._reduce = _log_sum_exp
 
     def _binomial_row(self, m: int) -> list:
         row = self._rows.get(m)
@@ -267,39 +270,59 @@ class _Evaluator:
         self.terms_evaluated += hi
         return terms
 
-    def _interior_sum(self, start: State, final: State, k: int, extend: bool) -> ProbValue:
-        n = self.n
-        upper = n if extend else _branch_limit(start, final, k, n)
-        o00, o01, o10, o11 = _OFFSETS[start, final][2:]
-        terms = self._interior_terms(start, final, k, upper)
-        return ProbValue(self.mode, self._reduce(terms, n - k + o00 + o01, k + o10 + o11))
+    def _branch(self, start: State, final: State, k: int, extend: bool):
+        """One interior sum, reduced: its integer numerator over d0**a * d1**b
+        in EXACT mode, its float or log value otherwise."""
+        upper = self.n if extend else _branch_limit(start, final, k, self.n)
+        return self._reduce(self._interior_terms(start, final, k, upper))
+
+    def _exact_numerator(self, start: State, k: int, extend: bool) -> int:
+        """Numerator of P(k | start) over d0**(n-k) * d1**k, for 0 < k < n.
+
+        A path ending in S0 makes one transition out of S0 fewer than its
+        n-k visits to S0 (a = n-k-1), and a path ending in S1 one out of S1
+        fewer (b = k-1), so each branch is scaled by the missing factor.
+        """
+        return (
+            self._branch(start, State.S0, k, extend) * self._d0
+            + self._branch(start, State.S1, k, extend) * self._d1
+        )
+
+    def _exact_denominator(self, k: int) -> int:
+        return self._d0 ** (self.n - k) * self._d1**k
 
     def conditional(self, start: State, k: int, extend: bool = False) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
         n = self.n
         _check_visits(k, n)
-        if start is State.S1:
-            if k == 0:
+        if k == 0 or k == n:
+            # Every position is in one state: the all-S0 or all-S1 path.
+            uniform = State.S0 if k == 0 else State.S1
+            if start is not uniform:
                 return ProbValue.zero(self.mode)
-            if k == n:
-                return pow_prob(self.chain.p11, n - 1)
-            return self._interior_sum(State.S1, State.S0, k, extend) + self._interior_sum(
-                State.S1, State.S1, k, extend
-            )
-        if k == 0:
-            return pow_prob(self.chain.p00, n - 1)
-        if k == n:
-            return ProbValue.zero(self.mode)
-        return self._interior_sum(State.S0, State.S1, k, extend) + self._interior_sum(
-            State.S0, State.S0, k, extend
+            return pow_prob(self.chain.transition(uniform, uniform), n - 1)
+        if self.mode is NumericMode.EXACT:
+            numerator = self._exact_numerator(start, k, extend)
+            return ProbValue(self.mode, Fraction(numerator, self._exact_denominator(k)))
+        return ProbValue(self.mode, self._branch(start, start.other, k, extend)) + ProbValue(
+            self.mode, self._branch(start, start, k, extend)
         )
 
     def visit_probability(self, k: int, target: State, extend: bool = False) -> ProbValue:
+        n = self.n
+        _check_visits(k, n)
         if target is State.S0:
             # Complement identity: every position is in exactly one state,
             # so k visits to S0 means n-k visits to S1.
-            k = self.n - k
+            k = n - k
         chain = self.chain
+        if self.mode is NumericMode.EXACT and 0 < k < n:
+            # p1 = u/w and p0 = (w-u)/w: one Fraction over w * d0**(n-k) * d1**k.
+            u, w = chain.p1.value.numerator, chain.p1.value.denominator
+            s1 = self._exact_numerator(State.S1, k, extend)
+            s0 = self._exact_numerator(State.S0, k, extend)
+            denominator = w * self._exact_denominator(k)
+            return ProbValue(self.mode, Fraction(u * s1 + (w - u) * s0, denominator))
         return chain.p1 * self.conditional(State.S1, k, extend) + chain.p0 * self.conditional(
             State.S0, k, extend
         )
@@ -353,7 +376,9 @@ def visit_distribution(
     """The full vector P(target = k | N) for k = 0..N.
 
     One binomial table (or float row cache) is built once and shared
-    across every k.
+    across every k.  In EXACT mode each interior k builds one ``Fraction``
+    from an integer numerator over w * d0**(N-k) * d1**k; k = 0 and k = N
+    are single powers of p00 or p11 weighted by p0 or p1.
     """
     ev = _Evaluator(chain, n)
     mass = tuple(ev.visit_probability(k, target, extend_limits) for k in range(n + 1))

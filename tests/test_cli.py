@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from visitprob import cli
 from visitprob.chain_model import State
@@ -9,6 +13,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv):
+    """``python -m visitprob`` in a fresh interpreter that imports the same
+    visitprob as this process, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "visitprob", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 SYM = ["--p01", "1/2", "--p10", "1/2", "--p1", "1/2"]
@@ -242,20 +259,54 @@ class TestTextOutput:
 
 
 def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # The child imports the same visitprob as this process, installed or not.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "visitprob", "prob", *SYM, "--n", "4", "--k", "2",
-         "--format", "json"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_module("prob", *SYM, "--n", "4", "--k", "2", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["exact"] == "3/8"
+
+
+# One process runs these in order through cli.main, which reuses one parser.
+# Each stdout is pinned by its sha256 (the usage error prints none).
+PARSER_REUSE_SEQUENCE = [
+    (
+        ["prob", *GENERIC, "--n", "9", "--k", "4", "--timing"],
+        0,
+        "10a6e7e068c2283d1a241461f723febe27f2a20baab2197b9775f6cdd314e59f",
+    ),
+    (
+        ["prob", *GENERIC, "--n", "9", "--k", "4", "--format", "json"],
+        0,
+        "3608538fffb891c7a3e4ee2c57dacc0d1f26e236041c48f3d8414ceca70bddb5",
+    ),
+    (
+        ["prob", *GENERIC, "--n", "9", "--k", "four", "--format", "json"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["dist", *GENERIC, "--n", "6", "--state", "0", "--format", "csv"],
+        0,
+        "20f45bdc40ae08c4494b52da60bf7f597e36f9968bfa9afd2b22607b76023503",
+    ),
+    (
+        ["validate", "--n-max", "3", "--format", "json"],
+        0,
+        "ec1efe261c3e103a49b38732daa8656cb77e2c000209a07accb997788b918137",
+    ),
+]
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
+    """A flag, a format or a failed parse in one call must not show in the
+    next: each call's output equals a fresh interpreter's, byte for byte."""
+    # argparse wraps usage text to the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, want_code, want_digest in PARSER_REUSE_SEQUENCE:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_module(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == want_code
+        assert hashlib.sha256(out.encode()).hexdigest() == want_digest

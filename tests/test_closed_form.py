@@ -21,7 +21,7 @@ from visitprob.closed_form import (
     visit_probability,
 )
 from visitprob.errors import NumericalError, ParameterError
-from visitprob.numerics import NumericMode
+from visitprob.numerics import NumericMode, ProbValue, pow_prob
 from visitprob.oracle import oracle_distribution
 
 GENERIC = ("3/10", "2/5", "1/2")
@@ -100,8 +100,53 @@ def reference_interior_terms(ev, start, final, k, upper):
         out.append(op(op(term, pow01[j + o01]), pow00[n - k - j + o00]))
     return out
 
+
+def reference_exact_mass(ev, k, target, extend):
+    """The per-branch reduction the one-Fraction-per-k form replaced: each
+    interior branch becomes Fraction(sum, d0**a * d1**b), where a and b count
+    its transitions out of S0 and out of S1, and the branches and the initial
+    weights combine through ProbValue arithmetic."""
+    n, chain = ev.n, ev.chain
+    if target is State.S0:
+        k = n - k
+    d0, d1 = chain.p01.value.denominator, chain.p10.value.denominator
+
+    def branch(start, final):
+        o00, o01, o10, o11 = _OFFSETS[start, final][2:]
+        upper = n if extend else _branch_limit(start, final, k, n)
+        total = sum(ev._interior_terms(start, final, k, upper))
+        return ProbValue.exact(Fraction(total, d0 ** (n - k + o00 + o01) * d1 ** (k + o10 + o11)))
+
+    def conditional(start):
+        if start is State.S1:
+            if k == 0:
+                return ProbValue.exact(0)
+            if k == n:
+                return pow_prob(chain.p11, n - 1)
+            return branch(State.S1, State.S0) + branch(State.S1, State.S1)
+        if k == 0:
+            return pow_prob(chain.p00, n - 1)
+        if k == n:
+            return ProbValue.exact(0)
+        return branch(State.S0, State.S1) + branch(State.S0, State.S0)
+
+    return conditional(State.S1), conditional(State.S0), (
+        chain.p1 * conditional(State.S1) + chain.p0 * conditional(State.S0)
+    )
+
+
+def fraction_parts(value):
+    return value.numerator, value.denominator
+
+
 rational = st.fractions(min_value=0, max_value=1, max_denominator=12)
 chains = st.builds(build_chain, rational, rational, rational)
+# Degenerate entries drawn often, not left to chance.
+rational_or_edge = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=17),
+)
+edge_chains = st.builds(build_chain, rational_or_edge, rational_or_edge, rational_or_edge)
 
 
 class TestSummationLimits:
@@ -128,6 +173,13 @@ class TestSummationLimits:
     @pytest.mark.parametrize("k,n", [(0, 4), (4, 4), (-1, 4), (5, 4)])
     def test_boundary_k_rejected(self, k, n):
         with pytest.raises(ParameterError):
+            summation_limits(k, n)
+
+    @pytest.mark.parametrize("k,n", [(True, 3), (1.5, 3), (2.0, 4), (1, 3.0), ("1", 3)])
+    def test_non_int_rejected(self, k, n):
+        """A bool or float is not a count: True would pass as 1 and 1.5
+        would give fractional limits."""
+        with pytest.raises(ParameterError, match="integers"):
             summation_limits(k, n)
 
 
@@ -300,6 +352,30 @@ class TestInteriorTerms:
             before = ev.terms_evaluated
             assert ev._interior_terms(start, final, k, upper) == expected
             assert ev.terms_evaluated - before == len(expected)
+
+
+class TestExactReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edge_chains,
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(State),
+        st.booleans(),
+    )
+    def test_one_fraction_per_k_matches_per_branch_reduction(self, chain, n, target, extend):
+        """Numerator and denominator equal to the per-branch reduction's, for
+        every k, both start states and the initial-state mixture."""
+        ev = _Evaluator(chain, n)
+        for k in range(n + 1):
+            cond1, cond0, mixed = reference_exact_mass(ev, k, target, extend)
+            kk = n - k if target is State.S0 else k
+            got = (
+                ev.conditional(State.S1, kk, extend).value,
+                ev.conditional(State.S0, kk, extend).value,
+                ev.visit_probability(k, target, extend).value,
+            )
+            want = (cond1.value, cond0.value, mixed.value)
+            assert list(map(fraction_parts, got)) == list(map(fraction_parts, want))
 
 
 class TestMoments:
