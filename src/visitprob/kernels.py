@@ -113,7 +113,8 @@ def enumerate_visit_mass(n: int, p01: float, p10: float, p1: float) -> list[floa
 
     Depth-first in lexicographic state order (S0 branch before S1), with
     per-bucket Neumaier compensation, so results are reproducible bit for
-    bit across implementations.
+    bit across implementations.  The probabilities must lie in [0, 1], so
+    every path mass and running sum is nonnegative.
     """
     p00 = 1.0 - p01
     p11 = 1.0 - p10
@@ -121,18 +122,17 @@ def enumerate_visit_mass(n: int, p01: float, p10: float, p1: float) -> list[floa
     sums = [0.0] * (n + 1)
     comps = [0.0] * (n + 1)
 
-    def add(k: int, x: float) -> None:
-        s = sums[k]
-        t = s + x
-        if abs(s) >= abs(x):
-            comps[k] += (s - t) + x
-        else:
-            comps[k] += (x - t) + s
-        sums[k] = t
-
     def walk(depth: int, state: int, prob: float, visits: int) -> None:
         if depth == n:
-            add(visits, prob)
+            # Neumaier step; s and prob are nonnegative, so s >= prob
+            # picks the larger magnitude.
+            s = sums[visits]
+            t = s + prob
+            if s >= prob:
+                comps[visits] += (s - t) + prob
+            else:
+                comps[visits] += (prob - t) + s
+            sums[visits] = t
             return
         if state:
             walk(depth + 1, 0, prob * p10, visits)

@@ -11,6 +11,12 @@ Three referees live here:
   are reproducible bit for bit across runs and machines;
 * total-variation distance for comparing any two distributions.
 
+In EXACT mode the enumeration multiplies and sums plain integers: with w
+the denominator of p0 and p1, d0 that of p00 and p01, and d1 that of p10
+and p11 (row sums are exact, so each pair shares one), every path's
+probability is an integer numerator over w*(d0*d1)**(N-1), and one
+``Fraction`` per visit count is built at the end.
+
 Nothing in this module evaluates the closed-form sums; agreement between
 the two routes is asserted by the test suite, not assumed here.
 
@@ -23,6 +29,7 @@ they contribute zero mass, and the census counts paths, not probability.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -75,17 +82,28 @@ def _check_enumerable(n: int, guard: int | None, k: int | None = None) -> None:
 
 
 def _raw_values(chain: ChainSpec):
-    """Initial and transition payloads plus the mode's multiply."""
+    """Initial and transition payloads plus the mode's multiply.
+
+    LOGSPACE payloads are the chain's logs.  EXACT payloads are integer
+    numerators: p0 and p1 over w, moves out of S0 scaled by d1 and moves
+    out of S1 by d0, so every step is over d0*d1 (see the module
+    docstring).
+    """
     if chain.mode is NumericMode.LOGSPACE:
-        mul = lambda a, b: a + b  # noqa: E731
-    else:
-        mul = lambda a, b: a * b  # noqa: E731
-    init = (chain.p0.value, chain.p1.value)
+        init = (chain.p0.value, chain.p1.value)
+        trans = (
+            (chain.p00.value, chain.p01.value),
+            (chain.p10.value, chain.p11.value),
+        )
+        return init, trans, operator.add
+    d0 = chain.p01.value.denominator
+    d1 = chain.p10.value.denominator
+    init = (chain.p0.value.numerator, chain.p1.value.numerator)
     trans = (
-        (chain.p00.value, chain.p01.value),
-        (chain.p10.value, chain.p11.value),
+        (chain.p00.value.numerator * d1, chain.p01.value.numerator * d1),
+        (chain.p10.value.numerator * d0, chain.p11.value.numerator * d0),
     )
-    return init, trans, mul
+    return init, trans, operator.mul
 
 
 def oracle_distribution(
@@ -93,7 +111,9 @@ def oracle_distribution(
 ) -> VisitDistribution:
     """Visit-count distribution by exhaustive enumeration.
 
-    Exact in EXACT mode.  FLOAT mode dispatches to
+    Exact in EXACT mode: path numerators are summed as integers per visit
+    count, and each sum becomes one ``Fraction`` over w*(d0*d1)**(n-1).
+    FLOAT mode dispatches to
     :func:`visitprob.kernels.enumerate_visit_mass`; LOGSPACE accumulates
     per-bucket running log-sum-exp.
     """
@@ -105,7 +125,7 @@ def oracle_distribution(
     else:
         init, trans, mul = _raw_values(chain)
         if mode is NumericMode.EXACT:
-            buckets = [Fraction(0)] * (n + 1)
+            buckets = [0] * (n + 1)
 
             def leaf(v: int, acc) -> None:
                 buckets[v] += acc
@@ -125,6 +145,10 @@ def oracle_distribution(
 
         walk(1, 0, init[0], 0)
         walk(1, 1, init[1], 1)
+        if mode is NumericMode.EXACT:
+            step = chain.p01.value.denominator * chain.p10.value.denominator
+            denominator = chain.p1.value.denominator * step ** (n - 1)
+            buckets = [Fraction(b, denominator) for b in buckets]
     if target is State.S0:
         buckets = buckets[::-1]  # k visits to S0 == n-k visits to S1
     return VisitDistribution(

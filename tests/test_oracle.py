@@ -4,6 +4,8 @@ from itertools import product
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery, build_chain
 from visitprob.cli import run_validation
@@ -25,6 +27,12 @@ from visitprob.oracle import (
 )
 
 GENERIC = ("3/10", "2/5", "1/2")
+
+rational_or_edge = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+edge_chains = st.builds(build_chain, rational_or_edge, rational_or_edge, rational_or_edge)
 
 # Frozen during development with the pinned splitmix64 generator; the
 # determinism contract makes these stable across runs, backends and
@@ -176,6 +184,31 @@ class TestOracleDistribution:
         s1 = oracle_distribution(7, State.S1, c)
         s0 = oracle_distribution(7, State.S0, c)
         assert [m.value for m in s0.mass] == [m.value for m in s1.mass][::-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_chains, st.integers(min_value=1, max_value=10), st.sampled_from(State))
+    def test_exact_matches_fraction_walk(self, chain, n, target):
+        """The integer-numerator walk gives the masses of the Fraction
+        product walk, numerator and denominator alike."""
+        sums = [Fraction(0)] * (n + 1)
+        for rec in reference_trajectories(n, chain):
+            sums[rec.visits_s1] += rec.probability.value
+        if target is State.S0:
+            sums = sums[::-1]
+        got = oracle_distribution(n, target, chain).mass
+        assert [(m.value.numerator, m.value.denominator) for m in got] == [
+            (f.numerator, f.denominator) for f in sums
+        ]
+
+    @pytest.mark.parametrize("spec", [GENERIC, ("13/97", "41/89", "29/83")])
+    def test_closed_form_equals_enumeration_at_n20(self, spec):
+        """Bit for bit at a horizon past the grid checks (N <= 14)."""
+        chain = build_chain(*spec)
+        closed = visit_distribution(20, State.S1, chain)
+        brute = oracle_distribution(20, State.S1, chain)
+        assert [(m.value.numerator, m.value.denominator) for m in brute.mass] == [
+            (m.value.numerator, m.value.denominator) for m in closed.mass
+        ]
 
     def test_float_mode_close_to_exact(self):
         exact = oracle_distribution(10, State.S1, build_chain(*GENERIC))
