@@ -51,6 +51,15 @@ k, equal to the sum of the per-term fractions.
 
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
+
+Every P(N1 = k | N) reads only binomial rows k-1 and N-k-1 and the shared
+power tables, so the masses of a distribution are independent.  From
+N = 400 on, ``visit_distribution`` passes its evaluator to
+:func:`visitprob.split.split_masses`, which, when a second CPU is free,
+forks one child that evaluates half of the pairs (k, N-k) and sends the raw
+values back through a pipe; the result is bit-identical to the serial loop.
+It stays serial where ``os.fork`` is missing, fewer than two CPUs are
+usable, another thread is alive, or the fork fails.
 """
 
 from __future__ import annotations
@@ -220,8 +229,7 @@ class _Evaluator:
         self._rows: dict[int, list] = {}
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
         if self.mode is NumericMode.EXACT:
-            get = BinomialTable(n - 1).get
-            self._build_row = lambda m: [get(m, r) for r in range(m + 1)]
+            self._build_row = BinomialTable(n - 1).row
             self._pows = [_running_powers(1, b.numerator, n) for b in bases]
             self._combine = operator.mul
             self._reduce = sum
@@ -328,6 +336,15 @@ class _Evaluator:
         )
 
 
+# Smallest horizon whose distribution is split over two processes
+# (visitprob.split).  On a 2-core VM the split saves 10-40 % from N = 150
+# when the second core is idle, but when that core is busy the fork and a
+# child that starts 2-6 ms late cost up to 25 % at N = 200-400.  From
+# N = 400 on it saves about 40 % with the core idle and costs about 10 %
+# with it busy.
+_SPLIT_MIN_HORIZON = 400
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -381,8 +398,15 @@ def visit_distribution(
     are single powers of p00 or p11 weighted by p0 or p1.
     """
     ev = _Evaluator(chain, n)
-    mass = tuple(ev.visit_probability(k, target, extend_limits) for k in range(n + 1))
-    return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=mass)
+    if n >= _SPLIT_MIN_HORIZON:
+        # Imported on first use: where no bytecode cache is written, compiling
+        # it at import would raise every caller's peak memory by 0.25 MiB.
+        from visitprob.split import split_masses
+
+        mass = split_masses(ev, target, extend_limits)
+    else:
+        mass = [ev.visit_probability(k, target, extend_limits) for k in range(n + 1)]
+    return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=tuple(mass))
 
 
 def moments(dist: VisitDistribution) -> tuple[ProbValue, ProbValue]:

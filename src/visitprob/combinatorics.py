@@ -61,3 +61,15 @@ class BinomialTable:
         if n > self.max_n:
             raise ParameterError(f"binomial row {n} exceeds table size {self.max_n}")
         return self._rows[n][r]
+
+    def row(self, n: int) -> list[int]:
+        """C(n, 0..n): the stored list itself, so callers must not mutate it.
+
+        Zero-extended like :meth:`get`: a negative ``n`` has no nonzero
+        entry and gives an empty row.
+        """
+        if n < 0:
+            return []
+        if n > self.max_n:
+            raise ParameterError(f"binomial row {n} exceeds table size {self.max_n}")
+        return self._rows[n]

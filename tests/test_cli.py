@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from visitprob import cli
 from visitprob.chain_model import State
 
@@ -310,3 +312,31 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert code == want_code
         assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+# sha256 of `dist --n 1000` stdout for the GENERIC chain, pinned while every
+# distribution was still computed in one process.  Large distributions
+# fork a child; these runs write to a pipe with PYTHONUNBUFFERED unset, so
+# stdout is block-buffered and a child that flushed its copy of the buffer
+# would print the text twice.
+LARGE_DIST_RUNS = [
+    (
+        [],
+        "P(N1 = k | N = 1000)",
+        "e68ab5a05c0c24540555646477a908e629f3b39ec78910611a89942f726a3c23",
+    ),
+    (
+        ["--mode", "float", "--format", "json"],
+        '"schema_version"',
+        "585f5654fb382e2c332d72e980954d113d13351b4819152e8f8a6f316a53d7c7",
+    ),
+]
+
+
+@pytest.mark.parametrize("extra, marker, want_digest", LARGE_DIST_RUNS)
+def test_large_dist_output_printed_once(monkeypatch, extra, marker, want_digest):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = run_module("dist", "--n", "1000", *GENERIC, *extra)
+    assert proc.returncode == 0
+    assert proc.stdout.count(marker) == 1
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want_digest

@@ -1,14 +1,25 @@
 import hashlib
+import marshal
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visitprob import closed_form, split
 from visitprob.chain_model import State, VisitQuery, build_chain, swap_labels
 from visitprob.closed_form import (
     _OFFSETS,
+    _SPLIT_MIN_HORIZON,
     FLOAT_MAX_HORIZON,
     _branch_limit,
     _Evaluator,
@@ -431,3 +442,165 @@ class TestTermCensus:
                 for final in State:
                     for cell in term_census(k, 8, initial, final).values():
                         assert cell.transitions.total == 7
+
+
+def serial_masses(chain, n, target):
+    """Reprs of the per-k loop a split distribution must reproduce."""
+    ev = _Evaluator(chain, n)
+    return [repr(ev.visit_probability(k, target).value) for k in range(n + 1)]
+
+
+def distribution_masses(chain, n, target):
+    return [repr(m.value) for m in visit_distribution(n, target, chain).mass]
+
+
+def assert_no_child_left():
+    """No child process, running or unreaped, remains."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or usable_cpus() < 2,
+    reason="distributions are split only where os.fork exists and 2 CPUs are usable",
+)
+
+SPLIT_CASES = [(mode, _SPLIT_MIN_HORIZON) for mode in NumericMode] + [
+    (NumericMode.FLOAT, 1000),
+    (NumericMode.LOGSPACE, 1000),
+]
+
+
+class TestSplitDistribution:
+    """From N = _SPLIT_MIN_HORIZON on, one forked child computes half of the
+    (k, N-k) pairs; every mass keeps the bits of the serial loop."""
+
+    @pytest.mark.parametrize("target", list(State))
+    @pytest.mark.parametrize("mode, n", SPLIT_CASES)
+    def test_split_masses_equal_serial_loop(self, mode, n, target):
+        chain = build_chain(*SKEWED, mode)
+        assert distribution_masses(chain, n, target) == serial_masses(chain, n, target)
+        assert_no_child_left()
+
+    @needs_fork
+    def test_split_forks_one_child(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        chain = build_chain(*GENERIC, NumericMode.LOGSPACE)
+        visit_distribution(_SPLIT_MIN_HORIZON, State.S1, chain)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_split_not_below_threshold(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the threshold"))
+        chain = build_chain(*GENERIC, NumericMode.FLOAT)
+        visit_distribution(_SPLIT_MIN_HORIZON - 1, State.S1, chain)
+
+    def test_split_skipped_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
+        chain = build_chain(*GENERIC, NumericMode.FLOAT)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait, args=(60,))
+        worker.start()
+        try:
+            masses = distribution_masses(chain, _SPLIT_MIN_HORIZON, State.S1)
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert masses == serial_masses(chain, _SPLIT_MIN_HORIZON, State.S1)
+
+    def test_split_falls_back_when_fork_fails(self, monkeypatch):
+        def failing_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        chain = build_chain(*SKEWED, NumericMode.LOGSPACE)
+        masses = distribution_masses(chain, _SPLIT_MIN_HORIZON, State.S0)
+        assert masses == serial_masses(chain, _SPLIT_MIN_HORIZON, State.S0)
+
+    @needs_fork
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_split_child_failure_falls_back(self, monkeypatch, how):
+        """The child fails before sending its share; this process computes it."""
+
+        def failing_dumps(values):
+            if how == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("child failed")
+
+        fake = SimpleNamespace(dumps=failing_dumps, loads=marshal.loads)
+        monkeypatch.setattr(split, "marshal", fake)
+        chain = build_chain(*GENERIC, NumericMode.FLOAT)
+        masses = distribution_masses(chain, _SPLIT_MIN_HORIZON, State.S1)
+        assert masses == serial_masses(chain, _SPLIT_MIN_HORIZON, State.S1)
+        assert_no_child_left()
+
+    def test_split_float_overflow_raises_serial_error(self):
+        chain = build_chain(*GENERIC, NumericMode.FLOAT)
+        with pytest.raises(NumericalError) as serial:
+            serial_masses(chain, 1100, State.S1)
+        with pytest.raises(NumericalError) as forked:
+            visit_distribution(1100, State.S1, chain)
+        assert str(forked.value) == str(serial.value)
+        assert_no_child_left()
+
+    @needs_fork
+    def test_split_interrupt_kills_and_reaps_child(self, monkeypatch):
+        """The parent is interrupted while its child is still busy."""
+        parent = os.getpid()
+        real = _Evaluator.visit_probability
+        slept = []
+
+        def visit_probability(ev, k, target, extend=False):
+            if os.getpid() != parent and not slept:
+                slept.append(None)
+                time.sleep(60)
+            elif k == 2:
+                raise KeyboardInterrupt
+            return real(ev, k, target, extend)
+
+        monkeypatch.setattr(_Evaluator, "visit_probability", visit_probability)
+        chain = build_chain(*GENERIC, NumericMode.FLOAT)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            visit_distribution(_SPLIT_MIN_HORIZON, State.S1, chain)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_split_child_never_flushes_parent_stdout(self, monkeypatch):
+        """Text buffered before the fork and an atexit handler print once."""
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        script = (
+            "import atexit\n"
+            "from visitprob.chain_model import State, build_chain\n"
+            "from visitprob.closed_form import visit_distribution\n"
+            "from visitprob.numerics import NumericMode\n"
+            "atexit.register(print, 'at exit')\n"
+            "print('before')\n"
+            "chain = build_chain('3/10', '2/5', '1/2', NumericMode.FLOAT)\n"
+            f"d = visit_distribution({_SPLIT_MIN_HORIZON}, State.S1, chain)\n"
+            "print(len(d.mass))\n"
+        )
+        src = str(Path(closed_form.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"before\n{_SPLIT_MIN_HORIZON + 1}\nat exit\n"

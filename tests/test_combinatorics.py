@@ -62,6 +62,7 @@ class TestBinomialTable:
         for n in range(41):
             for r in range(n + 1):
                 assert table.get(n, r) == binomial(n, r)
+            assert table.row(n) == [binomial(n, r) for r in range(n + 1)]
 
     def test_pascal_recurrence_internal(self):
         table = BinomialTable(30)
@@ -79,10 +80,13 @@ class TestBinomialTable:
         assert table.get(3, 7) == 0
         assert table.get(3, -1) == 0
         assert table.get(-4, 0) == 0
+        assert table.row(-1) == []
 
     def test_row_beyond_table_raises(self):
         with pytest.raises(ParameterError):
             BinomialTable(5).get(6, 2)
+        with pytest.raises(ParameterError):
+            BinomialTable(5).row(6)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ParameterError):
