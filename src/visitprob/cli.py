@@ -433,20 +433,6 @@ def run_validation(n_max: int, grid: str) -> tuple[list[dict], dict]:
                 else f"k={bad}: S0={s0.mass[bad].value} swapped-S1={via_swap.mass[bad].value}",
             )
 
-            extended = visit_distribution(n, State.S1, chain, extend_limits=True)
-            bad = next(
-                (k for k in range(n + 1) if extended.mass[k].value != mass[k]), None
-            )
-            case(
-                "limit-redundancy",
-                label,
-                n,
-                bad is None,
-                ""
-                if bad is None
-                else f"k={bad}: limited={mass[bad]} extended={extended.mass[bad].value}",
-            )
-
     interior = [v for v in values if 0 < v < 1]
     for p01, p10, p1 in product(interior, repeat=3):
         label = _chain_label(p01, p10, p1)

@@ -17,9 +17,9 @@ S0), each a binomial coefficient.
 
 The summation limits c1 = min(k, N-k), c2 = min(k-1, N-k) and
 c3 = min(k, N-k-1) are exactly the j-ranges in which both binomials are
-nonzero.  With zero-extended binomials the sums may equivalently run to
-N; ``extend_limits=True`` evaluates that way so the equivalence can be
-tested.
+nonzero, so with zero-extended binomials the sums may equivalently run to
+N.  Each sum is bounded by the lengths of its two binomial rows, which give
+c1, c2 or c3 and so drop exactly the zero terms.
 
 Numeric backends share one term pipeline.  Each mode supplies binomial rows
 (Pascal table, incremental doubles, or log-factorial differences), the
@@ -30,7 +30,7 @@ compensated sum, or log-sum-exp, which keeps horizons in the thousands
 stable).
 
 Term j reads each of its six factors at an index linear in j, so the terms
-j = 1..upper of one branch read six contiguous runs: one slice per factor,
+j = 1..hi of one branch read six contiguous runs: one slice per factor,
 joined by ``map`` in C rather than by a Python loop.  The two binomial
 indices and the exponents of p10 and p01 rise with j, so their slices run
 forward; the exponents of p11 (k-j+o11) and p00 (n-k-j+o00) fall with j, so
@@ -256,17 +256,18 @@ class _Evaluator:
             row = self._rows[m] = self._build_row(m)
         return row
 
-    def _interior_terms(self, start: State, final: State, k: int, upper: int) -> list:
-        """Payloads of the nonzero terms j = 1..upper of one interior sum.
+    def _interior_terms(self, start: State, final: State, k: int) -> list:
+        """Payloads of the nonzero terms j = 1..hi of one interior sum.
 
-        Clipping ``upper`` to both row lengths drops the zero-extended
-        binomials past the summation limit.  The join applies the mode's
-        operator in the order ((((row1 . row2) . p11) . p10) . p01) . p00.
+        The last j that stays inside both binomial rows is the branch's
+        summation limit (c1, c2 or c3), so the terms past it, zero under
+        zero-extended binomials, are never formed.  The join applies the
+        mode's operator in the order ((((row1 . row2) . p11) . p10) . p01) . p00.
         """
         n = self.n
         o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
         row1, row2 = self._binomial_row(k - 1), self._binomial_row(n - k - 1)
-        hi = min(upper, len(row1) - 1 - o1, len(row2) - 1 - o2)
+        hi = min(len(row1) - 1 - o1, len(row2) - 1 - o2)
         pow00, pow01, pow10, pow11 = self._pows
         op = self._combine
         # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
@@ -278,13 +279,12 @@ class _Evaluator:
         self.terms_evaluated += hi
         return terms
 
-    def _branch(self, start: State, final: State, k: int, extend: bool):
+    def _branch(self, start: State, final: State, k: int):
         """One interior sum, reduced: its integer numerator over d0**a * d1**b
         in EXACT mode, its float or log value otherwise."""
-        upper = self.n if extend else _branch_limit(start, final, k, self.n)
-        return self._reduce(self._interior_terms(start, final, k, upper))
+        return self._reduce(self._interior_terms(start, final, k))
 
-    def _exact_numerator(self, start: State, k: int, extend: bool) -> int:
+    def _exact_numerator(self, start: State, k: int) -> int:
         """Numerator of P(k | start) over d0**(n-k) * d1**k, for 0 < k < n.
 
         A path ending in S0 makes one transition out of S0 fewer than its
@@ -292,14 +292,14 @@ class _Evaluator:
         fewer (b = k-1), so each branch is scaled by the missing factor.
         """
         return (
-            self._branch(start, State.S0, k, extend) * self._d0
-            + self._branch(start, State.S1, k, extend) * self._d1
+            self._branch(start, State.S0, k) * self._d0
+            + self._branch(start, State.S1, k) * self._d1
         )
 
     def _exact_denominator(self, k: int) -> int:
         return self._d0 ** (self.n - k) * self._d1**k
 
-    def conditional(self, start: State, k: int, extend: bool = False) -> ProbValue:
+    def conditional(self, start: State, k: int) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
         n = self.n
         _check_visits(k, n)
@@ -310,13 +310,13 @@ class _Evaluator:
                 return ProbValue.zero(self.mode)
             return pow_prob(self.chain.transition(uniform, uniform), n - 1)
         if self.mode is NumericMode.EXACT:
-            numerator = self._exact_numerator(start, k, extend)
+            numerator = self._exact_numerator(start, k)
             return ProbValue(self.mode, Fraction(numerator, self._exact_denominator(k)))
-        return ProbValue(self.mode, self._branch(start, start.other, k, extend)) + ProbValue(
-            self.mode, self._branch(start, start, k, extend)
+        return ProbValue(self.mode, self._branch(start, start.other, k)) + ProbValue(
+            self.mode, self._branch(start, start, k)
         )
 
-    def visit_probability(self, k: int, target: State, extend: bool = False) -> ProbValue:
+    def visit_probability(self, k: int, target: State) -> ProbValue:
         n = self.n
         _check_visits(k, n)
         if target is State.S0:
@@ -327,13 +327,11 @@ class _Evaluator:
         if self.mode is NumericMode.EXACT and 0 < k < n:
             # p1 = u/w and p0 = (w-u)/w: one Fraction over w * d0**(n-k) * d1**k.
             u, w = chain.p1.value.numerator, chain.p1.value.denominator
-            s1 = self._exact_numerator(State.S1, k, extend)
-            s0 = self._exact_numerator(State.S0, k, extend)
+            s1 = self._exact_numerator(State.S1, k)
+            s0 = self._exact_numerator(State.S0, k)
             denominator = w * self._exact_denominator(k)
             return ProbValue(self.mode, Fraction(u * s1 + (w - u) * s0, denominator))
-        return chain.p1 * self.conditional(State.S1, k, extend) + chain.p0 * self.conditional(
-            State.S0, k, extend
-        )
+        return chain.p1 * self.conditional(State.S1, k) + chain.p0 * self.conditional(State.S0, k)
 
 
 # Smallest horizon whose distribution is split over two processes
@@ -350,46 +348,22 @@ _SPLIT_MIN_HORIZON = 400
 # ---------------------------------------------------------------------------
 
 
-def prob_given_start_s1(
-    k: int,
-    n: int,
-    chain: ChainSpec,
-    *,
-    extend_limits: bool = False,
-) -> ProbValue:
+def prob_given_start_s1(k: int, n: int, chain: ChainSpec) -> ProbValue:
     """P(exactly k visits to S1 | start in S1), before initial-state weighting."""
-    return _Evaluator(chain, n).conditional(State.S1, k, extend_limits)
+    return _Evaluator(chain, n).conditional(State.S1, k)
 
 
-def prob_given_start_s0(
-    k: int,
-    n: int,
-    chain: ChainSpec,
-    *,
-    extend_limits: bool = False,
-) -> ProbValue:
+def prob_given_start_s0(k: int, n: int, chain: ChainSpec) -> ProbValue:
     """P(exactly k visits to S1 | start in S0), before initial-state weighting."""
-    return _Evaluator(chain, n).conditional(State.S0, k, extend_limits)
+    return _Evaluator(chain, n).conditional(State.S0, k)
 
 
-def visit_probability(
-    query: VisitQuery,
-    chain: ChainSpec,
-    *,
-    extend_limits: bool = False,
-) -> ProbValue:
+def visit_probability(query: VisitQuery, chain: ChainSpec) -> ProbValue:
     """P(target visited exactly k times | horizon N) for one query."""
-    ev = _Evaluator(chain, query.horizon_n)
-    return ev.visit_probability(query.visits_k, query.target, extend_limits)
+    return _Evaluator(chain, query.horizon_n).visit_probability(query.visits_k, query.target)
 
 
-def visit_distribution(
-    n: int,
-    target: State,
-    chain: ChainSpec,
-    *,
-    extend_limits: bool = False,
-) -> VisitDistribution:
+def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribution:
     """The full vector P(target = k | N) for k = 0..N.
 
     One binomial table (or float row cache) is built once and shared
@@ -403,9 +377,9 @@ def visit_distribution(
         # it at import would raise every caller's peak memory by 0.25 MiB.
         from visitprob.split import split_masses
 
-        mass = split_masses(ev, target, extend_limits)
+        mass = split_masses(ev, target)
     else:
-        mass = [ev.visit_probability(k, target, extend_limits) for k in range(n + 1)]
+        mass = [ev.visit_probability(k, target) for k in range(n + 1)]
     return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=tuple(mass))
 
 

@@ -3,8 +3,12 @@
 Binomials are zero-extended: ``binomial(n, r) == 0`` whenever ``r < 0``,
 ``r > n`` or ``n < 0``.  The closed-form summation limits exist only to
 keep binomial arguments in range, so under zero-extension they become
-redundant safety rather than load-bearing -- a property the test suite
-checks directly.
+redundant safety rather than load-bearing.  Two tests check this:
+``tests/test_acceptance.py::test_criterion_6_limit_redundancy`` sums every
+interior branch over j = 0..N with :func:`binomial` and matches the closed
+form bit for bit, and ``tests/test_closed_form.py::TestInteriorTerms`` runs a
+per-term loop to j = N against the term pipeline and pins each branch's
+term count to its limit.
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ def _can_split() -> bool:
     return cpus >= 2 and (threading is None or threading.active_count() == 1)
 
 
-def _masses(ev, ks, target: State, extend: bool) -> list[ProbValue]:
-    return [ev.visit_probability(k, target, extend) for k in ks]
+def _masses(ev, ks, target: State) -> list[ProbValue]:
+    return [ev.visit_probability(k, target) for k in ks]
 
 
 def _paired_ks(ms: range, n: int) -> list[int]:
@@ -47,7 +47,7 @@ def _paired_ks(ms: range, n: int) -> list[int]:
     return [k for m in ms for k in ((m, n - m) if 2 * m < n else (m,))]
 
 
-def split_masses(ev, target: State, extend: bool) -> list[ProbValue]:
+def split_masses(ev, target: State) -> list[ProbValue]:
     """P(target = k) for k = 0..n from the closed-form evaluator ``ev``, the
     pairs (m, n-m) with odd m computed by one forked child.
 
@@ -62,7 +62,7 @@ def split_masses(ev, target: State, extend: bool) -> list[ProbValue]:
     """
     n, mode = ev.n, ev.mode
     if not _can_split():
-        return _masses(ev, range(n + 1), target, extend)
+        return _masses(ev, range(n + 1), target)
     ours = _paired_ks(range(0, n // 2 + 1, 2), n)
     theirs = _paired_ks(range(1, n // 2 + 1, 2), n)
     read_fd, write_fd = os.pipe()
@@ -71,13 +71,13 @@ def split_masses(ev, target: State, extend: bool) -> list[ProbValue]:
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _masses(ev, range(n + 1), target, extend)
+        return _masses(ev, range(n + 1), target)
     if pid == 0:
         # os._exit, not exit: no atexit handler runs, and the stdio buffers
         # copied from the parent are never flushed a second time.
         try:
             os.close(read_fd)
-            values = [m.value for m in _masses(ev, theirs, target, extend)]
+            values = [m.value for m in _masses(ev, theirs, target)]
             if mode is NumericMode.EXACT:
                 values = [(v.numerator, v.denominator) for v in values]
             with open(write_fd, "wb") as pipe:
@@ -88,7 +88,7 @@ def split_masses(ev, target: State, extend: bool) -> list[ProbValue]:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            own = _masses(ev, ours, target, extend)
+            own = _masses(ev, ours, target)
             # Read to EOF before waitpid: an EXACT payload can outgrow the
             # pipe buffer, and the child blocks until it is read.
             payload = pipe.read()
@@ -103,7 +103,7 @@ def split_masses(ev, target: State, extend: bool) -> list[ProbValue]:
             values = [Fraction(*v) for v in values]
         other = [ProbValue(mode, v) for v in values]
     else:
-        other = _masses(ev, theirs, target, extend)
+        other = _masses(ev, theirs, target)
     by_k = dict(zip(ours, own))
     by_k.update(zip(theirs, other))
     return [by_k[k] for k in range(n + 1)]

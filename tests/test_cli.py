@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from visitprob import cli
-from visitprob.chain_model import State
+from visitprob.chain_model import State, build_chain
+from visitprob.closed_form import _Evaluator
+from visitprob.numerics import NumericMode
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +222,13 @@ class TestValidateCommand:
         assert record["summary"]["exact-equal"] > 0
         statuses = {c["status"] for c in record["cases"]}
         assert statuses <= {"exact-equal", "within-tol"}
+        assert {c["check"] for c in record["cases"]} == {
+            "oracle-equality",
+            "normalization",
+            "complement-symmetry",
+            "label-swap-symmetry",
+            "float-normalization",
+        }
 
     def test_nmax_zero_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--n-max", "0")
@@ -229,9 +238,9 @@ class TestValidateCommand:
         """Negative control: a perturbed closed form must be caught."""
         real = cli.visit_distribution
 
-        def broken(n, target, chain, **kwargs):
-            d = real(n, target, chain, **kwargs)
-            if n == 2 and target is State.S1 and not kwargs.get("extend_limits"):
+        def broken(n, target, chain):
+            d = real(n, target, chain)
+            if n == 2 and target is State.S1:
                 mass = list(d.mass)
                 mass[0], mass[-1] = mass[-1], mass[0]
                 return type(d)(d.horizon_n, d.target, d.mode, tuple(mass))
@@ -246,6 +255,22 @@ class TestValidateCommand:
         assert record["summary"]["FAIL"] > 0
         failing = [c for c in record["cases"] if c["status"] == "FAIL"]
         assert failing and all(c["detail"] for c in failing)
+
+
+@pytest.mark.parametrize("mode", list(NumericMode))
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_term_count_is_the_evaluators_count(mode, n):
+    """``diagnostics.terms`` counts the interior terms one probability
+    evaluates; a boundary k evaluates none and is reported as 1."""
+    ev = _Evaluator(build_chain("3/10", "2/5", "1/2", mode), n)
+    for k in range(n + 1):
+        before = ev.terms_evaluated
+        ev.visit_probability(k, State.S1)
+        evaluated = ev.terms_evaluated - before
+        if 0 < k < n:
+            assert cli._term_count(k, n) == evaluated
+        else:
+            assert (cli._term_count(k, n), evaluated) == (1, 0)
 
 
 class TestTextOutput:
@@ -292,7 +317,7 @@ PARSER_REUSE_SEQUENCE = [
     (
         ["validate", "--n-max", "3", "--format", "json"],
         0,
-        "ec1efe261c3e103a49b38732daa8656cb77e2c000209a07accb997788b918137",
+        "fc8be658ac207006a3f930e2dd89e86bb1e07f5eadecb8b2281eec3a2f9fce2b",
     ),
 ]
 

@@ -93,16 +93,17 @@ MASS_DIGEST_CHAINS = {
 
 
 
-def reference_interior_terms(ev, start, final, k, upper):
-    """The per-j loop the slice pipeline replaced: term j of one branch,
-    skipping j past either binomial row (the zero-extended binomials)."""
+def reference_interior_terms(ev, start, final, k):
+    """The per-j loop the slice pipeline replaced, run to j = n: term j of
+    one branch, skipping j past either binomial row (the zero-extended
+    binomials)."""
     n = ev.n
     o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
     row1, row2 = ev._binomial_row(k - 1), ev._binomial_row(n - k - 1)
     pow00, pow01, pow10, pow11 = ev._pows
     op = ev._combine
     out = []
-    for j in range(1, upper + 1):
+    for j in range(1, n + 1):
         r1, r2 = j + o1, j + o2
         if r1 >= len(row1) or r2 >= len(row2):
             continue
@@ -112,7 +113,7 @@ def reference_interior_terms(ev, start, final, k, upper):
     return out
 
 
-def reference_exact_mass(ev, k, target, extend):
+def reference_exact_mass(ev, k, target):
     """The per-branch reduction the one-Fraction-per-k form replaced: each
     interior branch becomes Fraction(sum, d0**a * d1**b), where a and b count
     its transitions out of S0 and out of S1, and the branches and the initial
@@ -124,8 +125,7 @@ def reference_exact_mass(ev, k, target, extend):
 
     def branch(start, final):
         o00, o01, o10, o11 = _OFFSETS[start, final][2:]
-        upper = n if extend else _branch_limit(start, final, k, n)
-        total = sum(ev._interior_terms(start, final, k, upper))
+        total = sum(ev._interior_terms(start, final, k))
         return ProbValue.exact(Fraction(total, d0 ** (n - k + o00 + o01) * d1 ** (k + o10 + o11)))
 
     def conditional(start):
@@ -341,49 +341,47 @@ class TestSymmetries:
         for k in range(n + 1):
             assert s0.mass[k].value == swapped_s1.mass[k].value
 
-    @settings(max_examples=30, deadline=None)
-    @given(chains, st.integers(min_value=1, max_value=12), st.sampled_from(NumericMode))
-    def test_extended_limits_change_nothing(self, chain, n, mode):
-        chain = chain.as_mode(mode)
-        base = visit_distribution(n, State.S1, chain)
-        extended = visit_distribution(n, State.S1, chain, extend_limits=True)
-        assert [m.value for m in base.mass] == [m.value for m in extended.mass]
+
+# The summation limit of each interior branch, named as in summation_limits.
+BRANCH_LIMIT = {
+    (State.S1, State.S0): "c1",
+    (State.S1, State.S1): "c2",
+    (State.S0, State.S1): "c1",
+    (State.S0, State.S0): "c3",
+}
 
 
 class TestInteriorTerms:
     @pytest.mark.parametrize("mode", list(NumericMode))
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_pipeline_matches_reference_loop(self, mode, n):
-        """At k = 1 and k = n-1 one row has a single entry, so the clip to
-        the row lengths bites; upper = n is the extend_limits case."""
+        """The limits are redundant: the reference runs every branch to
+        j = n and skips only zero binomials, yet the pipeline, bounded by the
+        row lengths alone, forms the same terms, c1, c2 or c3 of them."""
         ev = _Evaluator(build_chain(*SKEWED, mode), n)
-        for k, (start, final), extend in product({1, n - 1}, _OFFSETS, (False, True)):
-            upper = n if extend else _branch_limit(start, final, k, n)
-            expected = reference_interior_terms(ev, start, final, k, upper)
+        for k, (start, final) in product(range(1, n), _OFFSETS):
+            expected = reference_interior_terms(ev, start, final, k)
             before = ev.terms_evaluated
-            assert ev._interior_terms(start, final, k, upper) == expected
+            assert ev._interior_terms(start, final, k) == expected
             assert ev.terms_evaluated - before == len(expected)
+            limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
+            assert len(expected) == _branch_limit(start, final, k, n) == limit
 
 
 class TestExactReduction:
     @settings(max_examples=150, deadline=None)
-    @given(
-        edge_chains,
-        st.integers(min_value=1, max_value=40),
-        st.sampled_from(State),
-        st.booleans(),
-    )
-    def test_one_fraction_per_k_matches_per_branch_reduction(self, chain, n, target, extend):
+    @given(edge_chains, st.integers(min_value=1, max_value=40), st.sampled_from(State))
+    def test_one_fraction_per_k_matches_per_branch_reduction(self, chain, n, target):
         """Numerator and denominator equal to the per-branch reduction's, for
         every k, both start states and the initial-state mixture."""
         ev = _Evaluator(chain, n)
         for k in range(n + 1):
-            cond1, cond0, mixed = reference_exact_mass(ev, k, target, extend)
+            cond1, cond0, mixed = reference_exact_mass(ev, k, target)
             kk = n - k if target is State.S0 else k
             got = (
-                ev.conditional(State.S1, kk, extend).value,
-                ev.conditional(State.S0, kk, extend).value,
-                ev.visit_probability(k, target, extend).value,
+                ev.conditional(State.S1, kk).value,
+                ev.conditional(State.S0, kk).value,
+                ev.visit_probability(k, target).value,
             )
             want = (cond1.value, cond0.value, mixed.value)
             assert list(map(fraction_parts, got)) == list(map(fraction_parts, want))
@@ -564,13 +562,13 @@ class TestSplitDistribution:
         real = _Evaluator.visit_probability
         slept = []
 
-        def visit_probability(ev, k, target, extend=False):
+        def visit_probability(ev, k, target):
             if os.getpid() != parent and not slept:
                 slept.append(None)
                 time.sleep(60)
             elif k == 2:
                 raise KeyboardInterrupt
-            return real(ev, k, target, extend)
+            return real(ev, k, target)
 
         monkeypatch.setattr(_Evaluator, "visit_probability", visit_probability)
         chain = build_chain(*GENERIC, NumericMode.FLOAT)
