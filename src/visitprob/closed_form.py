@@ -18,16 +18,15 @@ S0), each a binomial coefficient.
 The summation limits c1 = min(k, N-k), c2 = min(k-1, N-k) and
 c3 = min(k, N-k-1) are exactly the j-ranges in which both binomials are
 nonzero, so with zero-extended binomials the sums may equivalently run to
-N.  Each sum is bounded by the lengths of its two binomial rows, which give
-c1, c2 or c3 and so drop exactly the zero terms.
+N.  Each sum stops where the first of its two binomials runs out, at c1,
+c2 or c3, and so drops exactly the zero terms.
 
-Numeric backends share one term pipeline.  Each mode supplies binomial rows
-(Pascal table, incremental doubles, or log-factorial differences), the
+The FLOAT and LOGSPACE backends share one term pipeline.  Each supplies
+binomial rows (incremental doubles, or log-factorial differences), the
 powers 0..N of each transition probability (running products, or
 exponent-weighted logs), the operator joining a term's factors (product, or
-sum of logs) and the reduction of one branch's terms (exact division,
-compensated sum, or log-sum-exp, which keeps horizons in the thousands
-stable).
+sum of logs) and the reduction of one branch's terms (compensated sum, or
+log-sum-exp, which keeps horizons in the thousands stable).
 
 Term j reads each of its six factors at an index linear in j, so the terms
 j = 1..hi of one branch read six contiguous runs: one slice per factor,
@@ -35,27 +34,37 @@ joined by ``map`` in C rather than by a Python loop.  The two binomial
 indices and the exponents of p10 and p01 rise with j, so their slices run
 forward; the exponents of p11 (k-j+o11) and p00 (n-k-j+o00) fall with j, so
 those two slices are read reversed.  The join applies the operator in one
-fixed order, so every backend's bits are those of a per-term loop.
+fixed order, so both backends' bits are those of a per-term loop.
 
 EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
 terms they share one denominator d0; likewise p10 and p11 share d1, and p0
-and p1 share w.  The pipeline multiplies binomials by powers of the four
-*numerators*, and a branch's integer sum is its numerator over d0**a * d1**b,
-where a = n-k+o00+o01 and b = k+o10+o11 count the branch's transitions out
-of S0 and out of S1 (both independent of j).  A branch ending in S0 has
-a = n-k-1 and b = k, one ending in S1 a = n-k and b = k-1, so scaling the
-first by d0 and the second by d1 puts all four branches of one k over
-d0**(n-k) * d1**k.  Weighted by the numerators of p1 and p0, they make one
-integer over w * d0**(n-k) * d1**k: one ``Fraction`` (one gcd) per interior
-k, equal to the sum of the per-term fractions.
+and p1 share w.  Its terms are binomials times powers of the four
+*numerators* P00..P11, and a branch's integer sum is its numerator over
+d0**a * d1**b, where a = n-k+o00+o01 and b = k+o10+o11 count the branch's
+transitions out of S0 and out of S1 (both independent of j).  A branch
+ending in S0 has a = n-k-1 and b = k, one ending in S1 a = n-k and
+b = k-1, so scaling the first by d0 and the second by d1 puts all four
+branches of one k over d0**(n-k) * d1**k.  Weighted by the numerators of p1
+and p0, they make one integer over w * d0**(n-k) * d1**k: one ``Fraction``
+(one gcd) per interior k, equal to the sum of the per-term fractions.
+
+Each EXACT branch is a terminating hypergeometric sum, summed by term
+ratios with no binomial table.  With r1 = j+o1 and r2 = j+o2 the lower
+indices of its two binomials, term j+1 over term j is
+(k-1-r1)(n-k-1-r2) * P01*P10 / ((r1+1)(r2+1) * P00*P11).  The first term
+comes from the power tables (its binomials are 1 or their upper index),
+and each next one from one product and one exact floor division by small
+integers.  Where P00*P11 = 0 the ratio is undefined, but every term carries
+a power of the zero numerator, so only the term whose exponent of it is 0
+can be nonzero, and that one term is formed directly.
 
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
 
-Every P(N1 = k | N) reads only binomial rows k-1 and N-k-1 and the shared
-power tables, so the masses of a distribution are independent.  From
-N = 400 on, ``visit_distribution`` passes its evaluator to
-:func:`visitprob.split.split_masses`, which, when a second CPU is free,
+Every P(N1 = k | N) reads only the shared power tables and, in FLOAT and
+LOGSPACE, binomial rows k-1 and N-k-1, so the masses of a distribution are
+independent.  From N = 400 on, ``visit_distribution`` passes its evaluator
+to :func:`visitprob.split.split_masses`, which, when a second CPU is free,
 forks one child that evaluates half of the pairs (k, N-k) and sends the raw
 values back through a pipe; the result is bit-identical to the serial loop.
 It stays serial where ``os.fork`` is missing, fewer than two CPUs are
@@ -71,7 +80,8 @@ from fractions import Fraction
 from itertools import repeat
 
 from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery
-# log_binomial is unused here, but perfbench/tracing.py looks it up on this module.
+# BinomialTable and log_binomial are unused here, but perfbench/tracing.py looks
+# them up on this module.
 from visitprob.combinatorics import BinomialTable, binomial, log_binomial  # noqa: F401
 from visitprob.errors import NumericalError, ParameterError
 from visitprob.numerics import (
@@ -209,14 +219,15 @@ def _running_powers(one, base, n: int) -> list:
 
 
 class _Evaluator:
-    """Shared per-call state: the mode's binomial-row builder (rows cached
-    by index), powers of p00, p01, p10 and p11 (of their numerators in EXACT
-    mode), term operator and branch reduction; in EXACT mode also the
-    denominators d0 of p00/p01 and d1 of p10/p11."""
+    """Shared per-call state: powers 0..n of p00, p01, p10 and p11 (of their
+    numerators in EXACT mode).  EXACT mode also keeps the step ratio's
+    numerator P01*P10 and divisor P00*P11 and the denominators d0 of p00/p01
+    and d1 of p10/p11; FLOAT and LOGSPACE keep the mode's binomial-row
+    builder (rows cached by index), term operator and branch reduction."""
 
     __slots__ = (
-        "chain", "n", "mode", "terms_evaluated",
-        "_rows", "_build_row", "_pows", "_combine", "_reduce", "_d0", "_d1",
+        "chain", "n", "mode", "terms_evaluated", "_pows", "_ratio", "_d0", "_d1",
+        "_rows", "_build_row", "_combine", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -226,16 +237,16 @@ class _Evaluator:
         self.n = n
         self.mode = chain.mode
         self.terms_evaluated = 0
-        self._rows: dict[int, list] = {}
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
         if self.mode is NumericMode.EXACT:
-            self._build_row = BinomialTable(n - 1).row
-            self._pows = [_running_powers(1, b.numerator, n) for b in bases]
-            self._combine = operator.mul
-            self._reduce = sum
+            p00, p01, p10, p11 = (b.numerator for b in bases)
+            self._pows = [_running_powers(1, p, n) for p in (p00, p01, p10, p11)]
+            self._ratio = (p01 * p10, p00 * p11)
             self._d0 = chain.p01.value.denominator
             self._d1 = chain.p10.value.denominator
-        elif self.mode is NumericMode.FLOAT:
+            return
+        self._rows: dict[int, list] = {}
+        if self.mode is NumericMode.FLOAT:
             self._build_row = _float_row
             self._pows = [_running_powers(1.0, b, n) for b in bases]
             self._combine = operator.mul
@@ -279,10 +290,39 @@ class _Evaluator:
         self.terms_evaluated += hi
         return terms
 
-    def _branch(self, start: State, final: State, k: int):
-        """One interior sum, reduced: its integer numerator over d0**a * d1**b
-        in EXACT mode, its float or log value otherwise."""
+    def _branch(self, start: State, final: State, k: int) -> float:
+        """One interior sum's float or log value (FLOAT and LOGSPACE)."""
         return self._reduce(self._interior_terms(start, final, k))
+
+    def _exact_branch(self, start: State, final: State, k: int) -> int:
+        """One interior sum's integer numerator over d0**a * d1**b (EXACT), by
+        term ratios as the module docstring describes; m1 and m2 are the
+        upper and r1 and r2 the lower indices of the branch's binomials."""
+        n = self.n
+        o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
+        m1, m2 = k - 1, n - k - 1
+        hi = min(m1 - o1, m2 - o2)
+        self.terms_evaluated += hi
+        pow00, pow01, pow10, pow11 = self._pows
+        up, down = self._ratio
+        if down:
+            j = 1
+        elif pow00[1] == 0:  # P00 = 0: the exponent of p00 is 0 at this j
+            j = n - k + o00
+        else:  # P11 = 0: the exponent of p11 is 0 at this j
+            j = k + o11
+        if not 1 <= j <= hi:
+            return 0
+        r1, r2 = j + o1, j + o2
+        term = math.comb(m1, r1) * math.comb(m2, r2) * pow11[k - j + o11] * pow10[j + o10]
+        term *= pow01[j + o01] * pow00[n - k - j + o00]
+        if not down:
+            return term
+        total = term
+        for r1, r2 in zip(range(r1, r1 + hi - 1), range(r2, r2 + hi - 1)):
+            term = term * ((m1 - r1) * (m2 - r2) * up) // ((r1 + 1) * (r2 + 1) * down)
+            total += term
+        return total
 
     def _exact_numerator(self, start: State, k: int) -> int:
         """Numerator of P(k | start) over d0**(n-k) * d1**k, for 0 < k < n.
@@ -292,8 +332,8 @@ class _Evaluator:
         fewer (b = k-1), so each branch is scaled by the missing factor.
         """
         return (
-            self._branch(start, State.S0, k) * self._d0
-            + self._branch(start, State.S1, k) * self._d1
+            self._exact_branch(start, State.S0, k) * self._d0
+            + self._exact_branch(start, State.S1, k) * self._d1
         )
 
     def _exact_denominator(self, k: int) -> int:
@@ -366,10 +406,11 @@ def visit_probability(query: VisitQuery, chain: ChainSpec) -> ProbValue:
 def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribution:
     """The full vector P(target = k | N) for k = 0..N.
 
-    One binomial table (or float row cache) is built once and shared
-    across every k.  In EXACT mode each interior k builds one ``Fraction``
-    from an integer numerator over w * d0**(N-k) * d1**k; k = 0 and k = N
-    are single powers of p00 or p11 weighted by p0 or p1.
+    One evaluator serves every k: its power tables and, in FLOAT and
+    LOGSPACE, its cached binomial rows.  In EXACT mode each interior k
+    builds one ``Fraction`` from an integer numerator over
+    w * d0**(N-k) * d1**k; k = 0 and k = N are single powers of p00 or p11
+    weighted by p0 or p1.
     """
     ev = _Evaluator(chain, n)
     if n >= _SPLIT_MIN_HORIZON:

@@ -7,8 +7,8 @@ redundant safety rather than load-bearing.  Two tests check this:
 ``tests/test_acceptance.py::test_criterion_6_limit_redundancy`` sums every
 interior branch over j = 0..N with :func:`binomial` and matches the closed
 form bit for bit, and ``tests/test_closed_form.py::TestInteriorTerms`` runs a
-per-term loop to j = N against the term pipeline and pins each branch's
-term count to its limit.
+per-term loop to j = N against the float and logspace term pipeline and the
+exact ratio loop and pins each branch's term count to its limit.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ def log_binomial(n: int, r: int) -> float:
 class BinomialTable:
     """Pascal-triangle cache of C(n, r) for 0 <= r <= n <= max_n.
 
-    Built once per distribution evaluation and shared across all k; lookups
-    outside the triangle are zero-extended like :func:`binomial`.
+    A public helper for callers that read many coefficients of one triangle;
+    the library itself builds none (the exact closed form steps between
+    terms by their ratio).  Lookups outside the triangle are zero-extended
+    like :func:`binomial`.
     """
 
     __slots__ = ("max_n", "_rows")

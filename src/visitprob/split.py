@@ -1,10 +1,10 @@
 """Evaluate one large distribution in two processes, bit for bit.
 
-Every P(target = k | N) of the closed form reads only binomial rows k-1 and
-N-k-1 and the evaluator's power tables, so the N+1 masses are independent
-work.  :func:`split_masses` forks one child that evaluates half of them
-with the same evaluator and sends the raw payloads back through a pipe, so
-each mass is the one the serial loop gives.  ``closed_form`` imports this
+Every P(target = k | N) of the closed form reads only the evaluator's power
+tables and, in FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, so the N+1
+masses are independent work.  :func:`split_masses` forks one child that
+evaluates half of them with the same evaluator and sends the raw payloads
+back through a pipe, so each mass is the one the serial loop gives.  ``closed_form`` imports this
 module only for horizons large enough to gain from it.
 """
 
@@ -42,8 +42,9 @@ def _masses(ev, ks, target: State) -> list[ProbValue]:
 
 
 def _paired_ks(ms: range, n: int) -> list[int]:
-    """k = m and k = n-m for each m in ``ms``: both read binomial rows m-1
-    and n-m-1, so the process that computes one builds its rows for both."""
+    """k = m and k = n-m for each m in ``ms``: in FLOAT and LOGSPACE both
+    read binomial rows m-1 and n-m-1, so the process that computes one
+    builds its rows for both."""
     return [k for m in ms for k in ((m, n - m) if 2 * m < n else (m,))]
 
 
@@ -51,14 +52,15 @@ def split_masses(ev, target: State) -> list[ProbValue]:
     """P(target = k) for k = 0..n from the closed-form evaluator ``ev``, the
     pairs (m, n-m) with odd m computed by one forked child.
 
-    Each k has about 4 * min(k, n-k) terms, and each pair reads two binomial
-    rows of n entries together, so alternate pairs give both processes half
-    the rows and, to within n/2, half of the sum of min(k, n-k).  The child
-    sends raw payloads through a pipe with ``marshal``.  If it fails or dies,
-    this process computes its share too, so the caller sees the serial
-    loop's result or exception; if this process raises, the child is killed
-    and reaped.  Without a free second CPU (see :func:`_can_split`) or when
-    the fork fails, every mass is computed here.
+    Each k has about 4 * min(k, n-k) terms, and each pair (in FLOAT and
+    LOGSPACE) reads two binomial rows of n entries together, so alternate
+    pairs give both processes half the rows and, to within n/2, half of the
+    sum of min(k, n-k).  The child sends raw payloads through a pipe with
+    ``marshal``.  If it fails or dies, this process computes its share too,
+    so the caller sees the serial loop's result or exception; if this
+    process raises, the child is killed and reaped.  Without a free second
+    CPU (see :func:`_can_split`) or when the fork fails, every mass is
+    computed here.
     """
     n, mode = ev.n, ev.mode
     if not _can_split():

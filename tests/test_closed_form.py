@@ -1,5 +1,7 @@
 import hashlib
 import marshal
+import math
+import operator
 import os
 import signal
 import subprocess
@@ -96,12 +98,17 @@ MASS_DIGEST_CHAINS = {
 def reference_interior_terms(ev, start, final, k):
     """The per-j loop the slice pipeline replaced, run to j = n: term j of
     one branch, skipping j past either binomial row (the zero-extended
-    binomials)."""
+    binomials).  In EXACT mode the rows are ``math.comb`` rows and the
+    factors, the evaluator's numerator powers among them, are multiplied."""
     n = ev.n
     o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
-    row1, row2 = ev._binomial_row(k - 1), ev._binomial_row(n - k - 1)
+    if ev.mode is NumericMode.EXACT:
+        row1, row2 = ([math.comb(m, r) for r in range(m + 1)] for m in (k - 1, n - k - 1))
+        op = operator.mul
+    else:
+        row1, row2 = ev._binomial_row(k - 1), ev._binomial_row(n - k - 1)
+        op = ev._combine
     pow00, pow01, pow10, pow11 = ev._pows
-    op = ev._combine
     out = []
     for j in range(1, n + 1):
         r1, r2 = j + o1, j + o2
@@ -125,7 +132,7 @@ def reference_exact_mass(ev, k, target):
 
     def branch(start, final):
         o00, o01, o10, o11 = _OFFSETS[start, final][2:]
-        total = sum(ev._interior_terms(start, final, k))
+        total = sum(reference_interior_terms(ev, start, final, k))
         return ProbValue.exact(Fraction(total, d0 ** (n - k + o00 + o01) * d1 ** (k + o10 + o11)))
 
     def conditional(start):
@@ -351,8 +358,20 @@ BRANCH_LIMIT = {
 }
 
 
+def assert_exact_branches_match_reference(ev):
+    """Every interior branch's ratio-loop integer is the sum of the
+    reference terms, and it counts c1, c2 or c3 of them."""
+    n = ev.n
+    for k, (start, final) in product(range(1, n), _OFFSETS):
+        expected = reference_interior_terms(ev, start, final, k)
+        before = ev.terms_evaluated
+        assert ev._exact_branch(start, final, k) == sum(expected)
+        limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
+        assert ev.terms_evaluated - before == len(expected) == limit
+
+
 class TestInteriorTerms:
-    @pytest.mark.parametrize("mode", list(NumericMode))
+    @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_pipeline_matches_reference_loop(self, mode, n):
         """The limits are redundant: the reference runs every branch to
@@ -366,6 +385,17 @@ class TestInteriorTerms:
             assert ev.terms_evaluated - before == len(expected)
             limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
             assert len(expected) == _branch_limit(start, final, k, n) == limit
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_exact_ratio_loop_matches_reference_loop(self, n):
+        assert_exact_branches_match_reference(_Evaluator(build_chain(*SKEWED), n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_chains, st.integers(min_value=1, max_value=60))
+    def test_exact_ratio_loop_matches_reference_on_edge_chains(self, chain, n):
+        """Chains with p00, p01, p10 or p11 zero, where the step ratio has a
+        zero numerator or divisor, included."""
+        assert_exact_branches_match_reference(_Evaluator(chain, n))
 
 
 class TestExactReduction:
@@ -385,6 +415,33 @@ class TestExactReduction:
             )
             want = (cond1.value, cond0.value, mixed.value)
             assert list(map(fraction_parts, got)) == list(map(fraction_parts, want))
+
+
+# One transition probability, or two, is 0: P00*P11 = 0 (the ratio loop's
+# divisor) or P01*P10 = 0 (its multiplier).
+DEGENERATE_CHAINS = {
+    "p00=0": (1, "2/5", "1/3"),
+    "p11=0": ("3/10", 1, "1/3"),
+    "p00=p11=0": (1, 1, "1/3"),
+    "p01=0": (0, "2/5", "1/3"),
+    "p10=0": ("3/10", 0, "1/3"),
+    "p01=p10=0": (0, 0, "1/3"),
+}
+
+
+@pytest.mark.parametrize("params", list(DEGENERATE_CHAINS.values()), ids=list(DEGENERATE_CHAINS))
+class TestDegenerateChains:
+    @pytest.mark.parametrize("target", list(State))
+    def test_exact_matches_oracle_bit_for_bit(self, params, target):
+        chain = build_chain(*params)
+        for n in range(2, 13):
+            closed = visit_distribution(n, target, chain)
+            assert [m.value for m in closed.mass] == [
+                m.value for m in oracle_distribution(n, target, chain).mass
+            ]
+
+    def test_exact_normalized_at_n200(self, params):
+        assert visit_distribution(200, State.S1, build_chain(*params)).total().value == 1
 
 
 class TestMoments:
@@ -440,6 +497,44 @@ class TestTermCensus:
                 for final in State:
                     for cell in term_census(k, 8, initial, final).values():
                         assert cell.transitions.total == 7
+
+
+def lattice_masses(chain, n, target):
+    """Exact masses of the visit count of ``target`` by the Markov-binomial
+    recursion over (position, state, visits so far) (Gabriel, Biometrika 46,
+    1959).  It runs in integers: each step multiplies by a transition
+    probability times d0*d1, so mass v is the sum of the two end states'
+    integers over w * (d0*d1)**(n-1)."""
+    d0, d1 = chain.p01.value.denominator, chain.p10.value.denominator
+    step = {(s, t): int(chain.transition(s, t).value * d0 * d1) for s in State for t in State}
+    u, w = chain.p1.value.numerator, chain.p1.value.denominator
+    at = {}
+    for state, weight in ((State.S0, w - u), (State.S1, u)):
+        at[state] = [0] * (n + 1)
+        at[state][int(state is target)] = weight
+    for _ in range(n - 1):
+        moved = {
+            t: [x * step[State.S0, t] + y * step[State.S1, t] for x, y in zip(*at.values())]
+            for t in State
+        }
+        # Entering the target adds a visit; the last slot is still 0 here.
+        at = {t: [0] + row[:-1] if t is target else row for t, row in moved.items()}
+    denominator = w * (d0 * d1) ** (n - 1)
+    return [Fraction(x + y, denominator) for x, y in zip(*at.values())]
+
+
+class TestLatticeReferee:
+    """The closed form where it is used, far past the enumeration guard."""
+
+    @pytest.mark.parametrize("target", list(State))
+    @pytest.mark.parametrize("params", [GENERIC, SKEWED], ids=["generic", "skewed"])
+    def test_exact_n400_equals_lattice_recursion(self, params, target):
+        # N = 400 is at or past _SPLIT_MIN_HORIZON, so half the masses come
+        # from a forked child.
+        chain = build_chain(*params)
+        closed = visit_distribution(400, target, chain)
+        assert [m.value for m in closed.mass] == lattice_masses(chain, 400, target)
+        assert_no_child_left()
 
 
 def serial_masses(chain, n, target):
