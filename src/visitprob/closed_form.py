@@ -62,10 +62,12 @@ Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
 
 Every P(N1 = k | N) reads only the shared power tables and, in FLOAT and
-LOGSPACE, binomial rows k-1 and N-k-1, so the masses of a distribution are
-independent.  From N = 400 on, ``visit_distribution`` passes its evaluator
-to :func:`visitprob.split.split_masses`, which, when a second CPU is free,
-forks one child that evaluates half of the pairs (k, N-k) and sends the raw
+LOGSPACE, binomial rows k-1 and N-k-1, which only P(N1 = N-k | N) also
+reads.  So a distribution is evaluated by pairs (m, N-m), and the evaluator
+keeps just the two rows of the current pair: memory grows linearly in N.
+From N = 400 on, ``visit_distribution`` passes its evaluator to
+:func:`visitprob.split.split_masses`, which, when a second CPU is free,
+forks one child that evaluates the pairs with odd m and sends the raw
 values back through a pipe; the result is bit-identical to the serial loop.
 It stays serial where ``os.fork`` is missing, fewer than two CPUs are
 usable, another thread is alive, or the fork fails.
@@ -73,6 +75,7 @@ usable, another thread is alive, or the fork fails.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -132,7 +135,11 @@ def summation_limits(k: int, n: int) -> SummationLimits:
     """Limits for interior k; the boundary cases bypass the sums entirely."""
     if not (_is_int(k) and _is_int(n) and 0 < k < n):
         raise ParameterError(f"summation limits need integers 0 < k < n, got k={k!r}, n={n!r}")
-    return SummationLimits(min(k, n - k), min(k - 1, n - k), min(k, n - k - 1))
+    return SummationLimits(
+        _branch_limit(State.S1, State.S0, k, n),
+        _branch_limit(State.S1, State.S1, k, n),
+        _branch_limit(State.S0, State.S0, k, n),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,11 +230,12 @@ class _Evaluator:
     numerators in EXACT mode).  EXACT mode also keeps the step ratio's
     numerator P01*P10 and divisor P00*P11 and the denominators d0 of p00/p01
     and d1 of p10/p11; FLOAT and LOGSPACE keep the mode's binomial-row
-    builder (rows cached by index), term operator and branch reduction."""
+    builder (keeping the two rows a pair (k, n-k) reads), term operator and
+    branch reduction."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated", "_pows", "_ratio", "_d0", "_d1",
-        "_rows", "_build_row", "_combine", "_reduce",
+        "_row", "_combine", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -245,40 +253,35 @@ class _Evaluator:
             self._d0 = chain.p01.value.denominator
             self._d1 = chain.p10.value.denominator
             return
-        self._rows: dict[int, list] = {}
         if self.mode is NumericMode.FLOAT:
-            self._build_row = _float_row
+            build_row = _float_row
             self._pows = [_running_powers(1.0, b, n) for b in bases]
             self._combine = operator.mul
             self._reduce = lambda terms: _finite_sum(terms, n)
         else:
             # lf[i] = log i!; row entries subtract in log_binomial's order.
             lf = [math.lgamma(i + 1) for i in range(n)]
-            self._build_row = lambda m: list(
+            build_row = lambda m: list(  # noqa: E731
                 map(operator.sub, map(operator.sub, repeat(lf[m]), lf), lf[m::-1])
             )
             self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
             self._combine = operator.add
             self._reduce = _log_sum_exp
-
-    def _binomial_row(self, m: int) -> list:
-        row = self._rows.get(m)
-        if row is None:
-            row = self._rows[m] = self._build_row(m)
-        return row
+        # Neither builder refers to self, so the evaluator makes no reference cycle.
+        self._row = functools.lru_cache(maxsize=2)(build_row)
 
     def _interior_terms(self, start: State, final: State, k: int) -> list:
         """Payloads of the nonzero terms j = 1..hi of one interior sum.
 
-        The last j that stays inside both binomial rows is the branch's
-        summation limit (c1, c2 or c3), so the terms past it, zero under
+        hi is the branch's summation limit (c1, c2 or c3), the last j that
+        stays inside both binomial rows, so the terms past it, zero under
         zero-extended binomials, are never formed.  The join applies the
         mode's operator in the order ((((row1 . row2) . p11) . p10) . p01) . p00.
         """
         n = self.n
         o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
-        row1, row2 = self._binomial_row(k - 1), self._binomial_row(n - k - 1)
-        hi = min(len(row1) - 1 - o1, len(row2) - 1 - o2)
+        row1, row2 = self._row(k - 1), self._row(n - k - 1)
+        hi = _branch_limit(start, final, k, n)
         pow00, pow01, pow10, pow11 = self._pows
         op = self._combine
         # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
@@ -301,7 +304,7 @@ class _Evaluator:
         n = self.n
         o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
         m1, m2 = k - 1, n - k - 1
-        hi = min(m1 - o1, m2 - o2)
+        hi = _branch_limit(start, final, k, n)
         self.terms_evaluated += hi
         pow00, pow01, pow10, pow11 = self._pows
         up, down = self._ratio
@@ -383,6 +386,14 @@ class _Evaluator:
 _SPLIT_MIN_HORIZON = 400
 
 
+def _pair_masses(ev: _Evaluator, ms: range, target: State) -> dict[int, ProbValue]:
+    """{k: P(target = k)} for k = m and k = n-m, for each m <= n/2 in ``ms``:
+    the two masses that read binomial rows m-1 and n-m-1 run back to back."""
+    n = ev.n
+    pairs = ((m, n - m) if 2 * m < n else (m,) for m in ms)
+    return {k: ev.visit_probability(k, target) for pair in pairs for k in pair}
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -407,8 +418,8 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
     """The full vector P(target = k | N) for k = 0..N.
 
     One evaluator serves every k: its power tables and, in FLOAT and
-    LOGSPACE, its cached binomial rows.  In EXACT mode each interior k
-    builds one ``Fraction`` from an integer numerator over
+    LOGSPACE, the binomial rows of the current pair (k, N-k).  In EXACT mode
+    each interior k builds one ``Fraction`` from an integer numerator over
     w * d0**(N-k) * d1**k; k = 0 and k = N are single powers of p00 or p11
     weighted by p0 or p1.
     """
@@ -418,10 +429,11 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
         # it at import would raise every caller's peak memory by 0.25 MiB.
         from visitprob.split import split_masses
 
-        mass = split_masses(ev, target)
+        by_k = split_masses(ev, target)
     else:
-        mass = [ev.visit_probability(k, target) for k in range(n + 1)]
-    return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=tuple(mass))
+        by_k = _pair_masses(ev, range(n // 2 + 1), target)
+    mass = tuple(by_k[k] for k in range(n + 1))
+    return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=mass)
 
 
 def moments(dist: VisitDistribution) -> tuple[ProbValue, ProbValue]:
@@ -465,7 +477,5 @@ def term_census(k: int, n: int, initial: State, final: State) -> dict[int, TermC
     for j in range(1, _branch_limit(initial, final, k, n) + 1):
         b1n, b1r, b2n, b2r, e00, e01, e10, e11 = _term_shape(initial, final, k, n, j)
         count = binomial(b1n, b1r) * binomial(b2n, b2r)
-        if count == 0:
-            continue
         cells[e10] = TermCell(count, TransitionCounts(n00=e00, n01=e01, n10=e10, n11=e11))
     return cells

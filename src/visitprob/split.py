@@ -1,10 +1,11 @@
 """Evaluate one large distribution in two processes, bit for bit.
 
 Every P(target = k | N) of the closed form reads only the evaluator's power
-tables and, in FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, so the N+1
-masses are independent work.  :func:`split_masses` forks one child that
-evaluates half of them with the same evaluator and sends the raw payloads
-back through a pipe, so each mass is the one the serial loop gives.  ``closed_form`` imports this
+tables and, in FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, which only
+the mass N-k also reads, so the pairs (m, N-m) are independent work.
+:func:`split_masses` forks one child that evaluates half of the pairs with
+the same evaluator and sends the raw payloads back through a pipe, so each
+mass is the one the serial pair loop gives.  ``closed_form`` imports this
 module only for horizons large enough to gain from it.
 """
 
@@ -17,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from visitprob.chain_model import State
+from visitprob.closed_form import _pair_masses
 from visitprob.numerics import NumericMode, ProbValue
 
 __all__ = ["split_masses"]
@@ -37,51 +39,38 @@ def _can_split() -> bool:
     return cpus >= 2 and (threading is None or threading.active_count() == 1)
 
 
-def _masses(ev, ks, target: State) -> list[ProbValue]:
-    return [ev.visit_probability(k, target) for k in ks]
+def split_masses(ev, target: State) -> dict[int, ProbValue]:
+    """{k: P(target = k)} for k = 0..n from the closed-form evaluator ``ev``,
+    the pairs (m, n-m) with odd m computed by one forked child.
 
-
-def _paired_ks(ms: range, n: int) -> list[int]:
-    """k = m and k = n-m for each m in ``ms``: in FLOAT and LOGSPACE both
-    read binomial rows m-1 and n-m-1, so the process that computes one
-    builds its rows for both."""
-    return [k for m in ms for k in ((m, n - m) if 2 * m < n else (m,))]
-
-
-def split_masses(ev, target: State) -> list[ProbValue]:
-    """P(target = k) for k = 0..n from the closed-form evaluator ``ev``, the
-    pairs (m, n-m) with odd m computed by one forked child.
-
-    Each k has about 4 * min(k, n-k) terms, and each pair (in FLOAT and
-    LOGSPACE) reads two binomial rows of n entries together, so alternate
-    pairs give both processes half the rows and, to within n/2, half of the
-    sum of min(k, n-k).  The child sends raw payloads through a pipe with
-    ``marshal``.  If it fails or dies, this process computes its share too,
-    so the caller sees the serial loop's result or exception; if this
-    process raises, the child is killed and reaped.  Without a free second
-    CPU (see :func:`_can_split`) or when the fork fails, every mass is
-    computed here.
+    Pair m has about 4 * m terms per mass, and (in FLOAT and LOGSPACE) builds
+    its two binomial rows of about n entries, so alternate pairs give both
+    processes half the rows and, to within n/2, half of the terms.  The child
+    sends its ``{k: payload}`` through a pipe with ``marshal``.  If it fails
+    or dies, this process computes its share too, so the caller sees the
+    serial pair loop's result or exception; if this process raises, the
+    child is killed and reaped.  Without a free second CPU (see
+    :func:`_can_split`) or when the fork fails, every pair is computed here.
     """
-    n, mode = ev.n, ev.mode
+    mode = ev.mode
+    pairs = range(ev.n // 2 + 1)
     if not _can_split():
-        return _masses(ev, range(n + 1), target)
-    ours = _paired_ks(range(0, n // 2 + 1, 2), n)
-    theirs = _paired_ks(range(1, n // 2 + 1, 2), n)
+        return _pair_masses(ev, pairs, target)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _masses(ev, range(n + 1), target)
+        return _pair_masses(ev, pairs, target)
     if pid == 0:
         # os._exit, not exit: no atexit handler runs, and the stdio buffers
         # copied from the parent are never flushed a second time.
         try:
             os.close(read_fd)
-            values = [m.value for m in _masses(ev, theirs, target)]
+            values = {k: m.value for k, m in _pair_masses(ev, pairs[1::2], target).items()}
             if mode is NumericMode.EXACT:
-                values = [(v.numerator, v.denominator) for v in values]
+                values = {k: (v.numerator, v.denominator) for k, v in values.items()}
             with open(write_fd, "wb") as pipe:
                 pipe.write(marshal.dumps(values))
             os._exit(0)
@@ -90,7 +79,7 @@ def split_masses(ev, target: State) -> list[ProbValue]:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            own = _masses(ev, ours, target)
+            masses = _pair_masses(ev, pairs[::2], target)
             # Read to EOF before waitpid: an EXACT payload can outgrow the
             # pipe buffer, and the child blocks until it is read.
             payload = pipe.read()
@@ -102,10 +91,8 @@ def split_masses(ev, target: State) -> list[ProbValue]:
     if status == 0:
         values = marshal.loads(payload)
         if mode is NumericMode.EXACT:
-            values = [Fraction(*v) for v in values]
-        other = [ProbValue(mode, v) for v in values]
+            values = {k: Fraction(*v) for k, v in values.items()}
+        masses.update((k, ProbValue(mode, v)) for k, v in values.items())
     else:
-        other = _masses(ev, theirs, target)
-    by_k = dict(zip(ours, own))
-    by_k.update(zip(theirs, other))
-    return [by_k[k] for k in range(n + 1)]
+        masses.update(_pair_masses(ev, pairs[1::2], target))
+    return masses

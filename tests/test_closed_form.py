@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -106,7 +107,7 @@ def reference_interior_terms(ev, start, final, k):
         row1, row2 = ([math.comb(m, r) for r in range(m + 1)] for m in (k - 1, n - k - 1))
         op = operator.mul
     else:
-        row1, row2 = ev._binomial_row(k - 1), ev._binomial_row(n - k - 1)
+        row1, row2 = ev._row(k - 1), ev._row(n - k - 1)
         op = ev._combine
     pow00, pow01, pow10, pow11 = ev._pows
     out = []
@@ -322,6 +323,21 @@ class TestVisitDistribution:
         text = "\n".join(repr(m.value) for m in d.mass)
         assert hashlib.sha256(text.encode()).hexdigest() == MASS_DIGESTS[key]
 
+    def test_serial_logspace_holds_two_binomial_rows(self, monkeypatch):
+        """One process evaluates the pairs (k, N-k) and keeps only the two
+        rows of the current pair: at N = 300 the call allocates about
+        0.1 MiB at its peak, where a cache of all N rows reaches 1.5 MiB.
+        The split is disabled so that the bound holds at any threshold."""
+        monkeypatch.setattr(split, "_can_split", lambda: False)
+        chain = build_chain(*GENERIC, NumericMode.LOGSPACE)
+        tracemalloc.start()
+        try:
+            visit_distribution(300, State.S1, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, peak
+
     @settings(max_examples=60, deadline=None)
     @given(chains, st.integers(min_value=1, max_value=10), st.sampled_from(State))
     def test_exact_matches_oracle_bit_for_bit(self, chain, n, target):
@@ -375,8 +391,8 @@ class TestInteriorTerms:
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_pipeline_matches_reference_loop(self, mode, n):
         """The limits are redundant: the reference runs every branch to
-        j = n and skips only zero binomials, yet the pipeline, bounded by the
-        row lengths alone, forms the same terms, c1, c2 or c3 of them."""
+        j = n and skips only zero binomials, yet the pipeline, bounded by
+        ``_branch_limit``, forms the same terms, c1, c2 or c3 of them."""
         ev = _Evaluator(build_chain(*SKEWED, mode), n)
         for k, (start, final) in product(range(1, n), _OFFSETS):
             expected = reference_interior_terms(ev, start, final, k)
@@ -614,6 +630,17 @@ class TestSplitDistribution:
             worker.join(timeout=60)
         assert not worker.is_alive()
         assert masses == serial_masses(chain, _SPLIT_MIN_HORIZON, State.S1)
+
+    @pytest.mark.parametrize("target", list(State))
+    def test_split_skipped_with_one_usable_cpu(self, monkeypatch, target):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        chain = build_chain(*SKEWED, NumericMode.FLOAT)
+        masses = distribution_masses(chain, _SPLIT_MIN_HORIZON, target)
+        assert masses == serial_masses(chain, _SPLIT_MIN_HORIZON, target)
 
     def test_split_falls_back_when_fork_fails(self, monkeypatch):
         def failing_fork():
