@@ -133,7 +133,12 @@ def _chain_inputs(args, mode: NumericMode) -> tuple[ChainSpec, dict]:
 
 
 def _term_count(k: int, n: int) -> int:
-    """Number of interior summation terms behind one probability value."""
+    """The closed form's count of interior terms behind one probability value,
+    2c1 + c2 + c3 over its four branch sums, with 1 for a boundary k.
+
+    It counts the terms of the formula, not the engine's steps: EXACT mode
+    forms the shared equal-run sum of a pair (k, n-k) once for both masses.
+    """
     if k == 0 or k == n:
         return 1
     lim = summation_limits(k, n)

@@ -48,15 +48,33 @@ branches of one k over d0**(n-k) * d1**k.  Weighted by the numerators of p1
 and p0, they make one integer over w * d0**(n-k) * d1**k: one ``Fraction``
 (one gcd) per interior k, equal to the sum of the per-term fractions.
 
-Each EXACT branch is a terminating hypergeometric sum, summed by term
-ratios with no binomial table.  With r1 = j+o1 and r2 = j+o2 the lower
-indices of its two binomials, term j+1 over term j is
-(k-1-r1)(n-k-1-r2) * P01*P10 / ((r1+1)(r2+1) * P00*P11).  The first term
-comes from the power tables (its binomials are 1 or their upper index),
-and each next one from one product and one exact floor division by small
-integers.  Where P00*P11 = 0 the ratio is undefined, but every term carries
-a power of the zero numerator, so only the term whose exponent of it is 0
-can be nonzero, and that one term is formed directly.
+EXACT mode sums each pair (m, n-m), 0 < m <= n/2, once.  A branch at k and
+its mirror at n-k differ only in that the powers of p00 and p11 trade
+places, and S1->S0 and S0->S1 differ only in a factor p10 against p01 (the
+Markov-binomial symmetry; Gabriel, Biometrika 46, 1959).  With X = P01*P10,
+Y = P00*P11, a = m-1, b = n-m-1 and c1, c2, c3 the limits of k = m, the
+pair needs three integer sums:
+
+    T_A = sum_{j=1..c1} C(a, j-1) * C(b, j-1) * Y**(c1-j) * X**(j-1)
+    T_B = sum_{j=1..c2} C(a, j)   * C(b, j-1) * Y**(c2-j) * X**j
+    T_C = sum_{j=1..c3} C(a, j-1) * C(b, j)   * Y**(c3-j) * X**j
+
+At k = m the branch numerators are S1->S0 = P10 * P00**(n-2m) * T_A,
+S0->S1 = P01 * P00**(n-2m) * T_A, S1->S1 = P00**(n-2m+1) * T_B and
+S0->S0 = P00**(n-m-1-c3) * P11**(m-c3) * T_C.  At k = n-m, whose limits are
+c1, c3 and c2, P00 and P11 trade places in these factors and T_B and T_C
+trade branches: T_B gives S0->S0 and T_C gives S1->S1.  A pair so forms
+c1 + c2 + c3 terms where its eight branch sums have 2 * (2c1 + c2 + c3).
+
+Each pair sum is a terminating hypergeometric sum, summed by term ratios
+with no binomial table (Petkovsek, Wilf and Zeilberger, A = B, 1996).  With
+r1 and r2 the lower indices of its two binomials, term j+1 over term j is
+(a-r1)(b-r2) * X / ((r1+1)(r2+1) * Y).  The first term is a power of Y
+times 1, a or b (its binomials) and 1 or X, and each next one comes from
+one product and one exact floor division by small integers.  Where Y = 0
+the ratio is undefined, but every term except the last (j = c) carries a
+power of Y, so that one term is formed directly; where X = 0 every term
+after the first is 0.
 
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
@@ -135,11 +153,7 @@ def summation_limits(k: int, n: int) -> SummationLimits:
     """Limits for interior k; the boundary cases bypass the sums entirely."""
     if not (_is_int(k) and _is_int(n) and 0 < k < n):
         raise ParameterError(f"summation limits need integers 0 < k < n, got k={k!r}, n={n!r}")
-    return SummationLimits(
-        _branch_limit(State.S1, State.S0, k, n),
-        _branch_limit(State.S1, State.S1, k, n),
-        _branch_limit(State.S0, State.S0, k, n),
-    )
+    return SummationLimits(*[_branch_limit(o1, o2, k, n) for o1, o2 in _LIMIT_OFFSETS])
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +196,16 @@ _OFFSETS: dict[tuple[State, State], tuple[int, int, int, int, int, int]] = {
 }
 
 
-def _branch_limit(start: State, final: State, k: int, n: int) -> int:
-    """Largest j with both binomials nonzero: c1, c2 or c3 of the branch."""
-    o1, o2 = _OFFSETS[start, final][:2]
+# (o1, o2) of the branches whose limits are c1, c2 and c3.
+_LIMIT_OFFSETS = tuple(
+    _OFFSETS[branch][:2]
+    for branch in ((State.S1, State.S0), (State.S1, State.S1), (State.S0, State.S0))
+)
+
+
+def _branch_limit(o1: int, o2: int, k: int, n: int) -> int:
+    """Largest j with both C(k-1, j+o1) and C(n-k-1, j+o2) nonzero: c1, c2 or
+    c3 of the branch with binomial offsets o1 and o2."""
     return min(k - 1 - o1, n - k - 1 - o2)
 
 
@@ -227,11 +248,12 @@ def _running_powers(one, base, n: int) -> list:
 
 class _Evaluator:
     """Shared per-call state: powers 0..n of p00, p01, p10 and p11 (of their
-    numerators in EXACT mode).  EXACT mode also keeps the step ratio's
-    numerator P01*P10 and divisor P00*P11 and the denominators d0 of p00/p01
-    and d1 of p10/p11; FLOAT and LOGSPACE keep the mode's binomial-row
-    builder (keeping the two rows a pair (k, n-k) reads), term operator and
-    branch reduction."""
+    numerators in EXACT mode).  EXACT mode also keeps X = P01*P10 and
+    Y = P00*P11, the bases of its pair sums, and the denominators d0 of
+    p00/p01 and d1 of p10/p11; FLOAT and LOGSPACE keep the mode's
+    binomial-row builder (keeping the two rows a pair (k, n-k) reads), term
+    operator and branch reduction.  ``_pair`` evaluates every interior k,
+    alone or with its mirror n-k."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated", "_pows", "_ratio", "_d0", "_d1",
@@ -281,7 +303,7 @@ class _Evaluator:
         n = self.n
         o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
         row1, row2 = self._row(k - 1), self._row(n - k - 1)
-        hi = _branch_limit(start, final, k, n)
+        hi = _branch_limit(o1, o2, k, n)
         pow00, pow01, pow10, pow11 = self._pows
         op = self._combine
         # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
@@ -293,51 +315,84 @@ class _Evaluator:
         self.terms_evaluated += hi
         return terms
 
-    def _branch(self, start: State, final: State, k: int) -> float:
-        """One interior sum's float or log value (FLOAT and LOGSPACE)."""
-        return self._reduce(self._interior_terms(start, final, k))
+    def _pair(self, ks: tuple[int, ...]) -> list[tuple]:
+        """The four interior sums of each k in ``ks``, in the order of
+        ``_OFFSETS`` (S1->S0, S1->S1, S0->S1, S0->S0): FLOAT or LOGSPACE
+        values, or EXACT integer numerators over d0**a * d1**b.
 
-    def _exact_branch(self, start: State, final: State, k: int) -> int:
-        """One interior sum's integer numerator over d0**a * d1**b (EXACT), by
-        term ratios as the module docstring describes; m1 and m2 are the
-        upper and r1 and r2 the lower indices of the branch's binomials."""
+        ``ks`` is one interior k, or the pair (m, n-m) with 0 < m < n/2.
+        FLOAT and LOGSPACE evaluate every branch of every k.  EXACT mode
+        forms the three pair sums T_A, T_B and T_C of m = min(k, n-k) once
+        and derives every branch from them, as the module docstring says.
+        """
         n = self.n
-        o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
-        m1, m2 = k - 1, n - k - 1
-        hi = _branch_limit(start, final, k, n)
-        self.terms_evaluated += hi
+        if self.mode is not NumericMode.EXACT:
+            reduce, terms = self._reduce, self._interior_terms
+            return [tuple(reduce(terms(start, final, k)) for start, final in _OFFSETS) for k in ks]
+        m = min(ks[0], n - ks[0])
+        c1, c2, c3 = [_branch_limit(o1, o2, m, n) for o1, o2 in _LIMIT_OFFSETS]
+        self.terms_evaluated += c1 + c2 + c3
+        a, b = m - 1, n - m - 1
+        t_a = self._pair_sum(a, b, c1, 0, 0)
+        t_b = self._pair_sum(a, b, c2, 1, 0)
+        t_c = self._pair_sum(a, b, c3, 0, 1)
         pow00, pow01, pow10, pow11 = self._pows
-        up, down = self._ratio
-        if down:
-            j = 1
-        elif pow00[1] == 0:  # P00 = 0: the exponent of p00 is 0 at this j
-            j = n - k + o00
-        else:  # P11 = 0: the exponent of p11 is 0 at this j
-            j = k + o11
-        if not 1 <= j <= hi:
+        sums = []
+        for k in ks:
+            # At k = n-m the powers of P00 and P11 trade places, and T_B and
+            # T_C trade the two branches that end where they start.
+            q0, q1 = (pow00, pow11) if k == m else (pow11, pow00)
+            cross = q0[n - 2 * m] * t_a
+            short = q0[n - 2 * m + 1] * t_b
+            long = q0[n - m - 1 - c3] * q1[m - c3] * t_c
+            same1, same0 = (short, long) if k == m else (long, short)
+            sums.append((pow10[1] * cross, same1, pow01[1] * cross, same0))
+        return sums
+
+    def _pair_sum(self, a: int, b: int, c: int, d1: int, d2: int) -> int:
+        """Sum over j = 1..c of C(a, j-1+d1) * C(b, j-1+d2) * Y**(c-j) *
+        X**(j-1+d1+d2), with X = P01*P10 and Y = P00*P11, by term ratios;
+        r1 and r2 are the lower indices of the two binomials."""
+        if c < 1:
             return 0
-        r1, r2 = j + o1, j + o2
-        term = math.comb(m1, r1) * math.comb(m2, r2) * pow11[k - j + o11] * pow10[j + o10]
-        term *= pow01[j + o01] * pow00[n - k - j + o00]
-        if not down:
-            return term
+        x, y = self._ratio
+        if not y:  # every term but the last (j = c) carries a power of Y = 0
+            return math.comb(a, c - 1 + d1) * math.comb(b, c - 1 + d2) * x ** (c - 1 + d1 + d2)
+        term = math.comb(a, d1) * math.comb(b, d2) * y ** (c - 1) * x ** (d1 + d2)
         total = term
-        for r1, r2 in zip(range(r1, r1 + hi - 1), range(r2, r2 + hi - 1)):
-            term = term * ((m1 - r1) * (m2 - r2) * up) // ((r1 + 1) * (r2 + 1) * down)
+        for r1, r2 in zip(range(d1, d1 + c - 1), range(d2, d2 + c - 1)):
+            term = term * ((a - r1) * (b - r2) * x) // ((r1 + 1) * (r2 + 1) * y)
             total += term
         return total
 
-    def _exact_numerator(self, start: State, k: int) -> int:
-        """Numerator of P(k | start) over d0**(n-k) * d1**k, for 0 < k < n.
+    def _by_start(self, sums: tuple) -> tuple:
+        """P(k | S1) and P(k | S0) from the four interior sums of k: FLOAT or
+        LOGSPACE ``ProbValue``s, or EXACT numerators over d0**(n-k) * d1**k.
 
         A path ending in S0 makes one transition out of S0 fewer than its
         n-k visits to S0 (a = n-k-1), and a path ending in S1 one out of S1
-        fewer (b = k-1), so each branch is scaled by the missing factor.
+        fewer (b = k-1), so each EXACT sum is scaled by the missing factor.
         """
+        s1_s0, s1_s1, s0_s1, s0_s0 = sums
+        mode = self.mode
+        if mode is NumericMode.EXACT:
+            d0, d1 = self._d0, self._d1
+            return s1_s0 * d0 + s1_s1 * d1, s0_s0 * d0 + s0_s1 * d1
         return (
-            self._exact_branch(start, State.S0, k) * self._d0
-            + self._exact_branch(start, State.S1, k) * self._d1
+            ProbValue(mode, s1_s0) + ProbValue(mode, s1_s1),
+            ProbValue(mode, s0_s1) + ProbValue(mode, s0_s0),
         )
+
+    def _mass(self, k: int, sums: tuple) -> ProbValue:
+        """P(N1 = k) for an interior k, from its four interior sums."""
+        s1, s0 = self._by_start(sums)
+        chain = self.chain
+        if self.mode is NumericMode.EXACT:
+            # p1 = u/w and p0 = (w-u)/w: one Fraction over w * d0**(n-k) * d1**k.
+            u, w = chain.p1.value.numerator, chain.p1.value.denominator
+            denominator = w * self._exact_denominator(k)
+            return ProbValue(self.mode, Fraction(u * s1 + (w - u) * s0, denominator))
+        return chain.p1 * s1 + chain.p0 * s0
 
     def _exact_denominator(self, k: int) -> int:
         return self._d0 ** (self.n - k) * self._d1**k
@@ -352,12 +407,11 @@ class _Evaluator:
             if start is not uniform:
                 return ProbValue.zero(self.mode)
             return pow_prob(self.chain.transition(uniform, uniform), n - 1)
+        s1, s0 = self._by_start(self._pair((k,))[0])
+        value = s1 if start is State.S1 else s0
         if self.mode is NumericMode.EXACT:
-            numerator = self._exact_numerator(start, k)
-            return ProbValue(self.mode, Fraction(numerator, self._exact_denominator(k)))
-        return ProbValue(self.mode, self._branch(start, start.other, k)) + ProbValue(
-            self.mode, self._branch(start, start, k)
-        )
+            return ProbValue(self.mode, Fraction(value, self._exact_denominator(k)))
+        return value
 
     def visit_probability(self, k: int, target: State) -> ProbValue:
         n = self.n
@@ -366,14 +420,9 @@ class _Evaluator:
             # Complement identity: every position is in exactly one state,
             # so k visits to S0 means n-k visits to S1.
             k = n - k
+        if 0 < k < n:
+            return self._mass(k, self._pair((k,))[0])
         chain = self.chain
-        if self.mode is NumericMode.EXACT and 0 < k < n:
-            # p1 = u/w and p0 = (w-u)/w: one Fraction over w * d0**(n-k) * d1**k.
-            u, w = chain.p1.value.numerator, chain.p1.value.denominator
-            s1 = self._exact_numerator(State.S1, k)
-            s0 = self._exact_numerator(State.S0, k)
-            denominator = w * self._exact_denominator(k)
-            return ProbValue(self.mode, Fraction(u * s1 + (w - u) * s0, denominator))
         return chain.p1 * self.conditional(State.S1, k) + chain.p0 * self.conditional(State.S0, k)
 
 
@@ -382,16 +431,31 @@ class _Evaluator:
 # when the second core is idle, but when that core is busy the fork and a
 # child that starts 2-6 ms late cost up to 25 % at N = 200-400.  From
 # N = 400 on it saves about 40 % with the core idle and costs about 10 %
-# with it busy.
+# with it busy.  Exact mode, summing each pair once, measured the same way
+# (serial -> split, medians of 7, chains 3/10, 2/5, 1/2 and 13/97, 41/89,
+# 29/83): N = 200 0.011-0.020 s on both sides, the split 4 % slower to 12 %
+# faster; N = 400 0.052-0.054 -> 0.037 s and 0.090 -> 0.066 s.
 _SPLIT_MIN_HORIZON = 400
 
 
 def _pair_masses(ev: _Evaluator, ms: range, target: State) -> dict[int, ProbValue]:
-    """{k: P(target = k)} for k = m and k = n-m, for each m <= n/2 in ``ms``:
-    the two masses that read binomial rows m-1 and n-m-1 run back to back."""
+    """{k: P(target = k)} for k = m and k = n-m, for each m <= n/2 in ``ms``.
+
+    One ``_Evaluator._pair`` call serves both masses of an interior pair: in
+    EXACT mode they share its three pair sums, and in FLOAT and LOGSPACE they
+    read the same binomial rows m-1 and n-m-1 back to back.  m = 0 gives the
+    boundary masses k = 0 and k = n.
+    """
     n = ev.n
-    pairs = ((m, n - m) if 2 * m < n else (m,) for m in ms)
-    return {k: ev.visit_probability(k, target) for pair in pairs for k in pair}
+    masses = {}
+    for m in ms:
+        if m == 0:
+            masses.update((k, ev.visit_probability(k, target)) for k in (0, n))
+            continue
+        ks = (m, n - m) if 2 * m < n else (m,)
+        for k, sums in zip(ks, ev._pair(ks)):
+            masses[k if target is State.S1 else n - k] = ev._mass(k, sums)
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +483,8 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
 
     One evaluator serves every k: its power tables and, in FLOAT and
     LOGSPACE, the binomial rows of the current pair (k, N-k).  In EXACT mode
-    each interior k builds one ``Fraction`` from an integer numerator over
+    each pair's masses come from its three pair sums, and each interior k
+    builds one ``Fraction`` from an integer numerator over
     w * d0**(N-k) * d1**k; k = 0 and k = N are single powers of p00 or p11
     weighted by p0 or p1.
     """
@@ -474,7 +539,7 @@ def term_census(k: int, n: int, initial: State, final: State) -> dict[int, TermC
             return {0: TermCell(1, TransitionCounts(n11=n - 1))}
         return {}
     cells: dict[int, TermCell] = {}
-    for j in range(1, _branch_limit(initial, final, k, n) + 1):
+    for j in range(1, _branch_limit(*_OFFSETS[initial, final][:2], k, n) + 1):
         b1n, b1r, b2n, b2r, e00, e01, e10, e11 = _term_shape(initial, final, k, n, j)
         count = binomial(b1n, b1r) * binomial(b2n, b2r)
         cells[e10] = TermCell(count, TransitionCounts(n00=e00, n01=e01, n10=e10, n11=e11))

@@ -43,14 +43,15 @@ def split_masses(ev, target: State) -> dict[int, ProbValue]:
     """{k: P(target = k)} for k = 0..n from the closed-form evaluator ``ev``,
     the pairs (m, n-m) with odd m computed by one forked child.
 
-    Pair m has about 4 * m terms per mass, and (in FLOAT and LOGSPACE) builds
-    its two binomial rows of about n entries, so alternate pairs give both
-    processes half the rows and, to within n/2, half of the terms.  The child
-    sends its ``{k: payload}`` through a pipe with ``marshal``.  If it fails
-    or dies, this process computes its share too, so the caller sees the
-    serial pair loop's result or exception; if this process raises, the
-    child is killed and reaped.  Without a free second CPU (see
-    :func:`_can_split`) or when the fork fails, every pair is computed here.
+    Pair m has about 8 * m terms in FLOAT and LOGSPACE, where it also builds
+    two binomial rows of about n entries, and 3 * m in EXACT mode, so
+    alternate pairs give both processes half the rows and, to within 8 terms
+    per pair, half of the terms.  The child sends its ``{k: payload}``
+    through a pipe with ``marshal``.  If it fails or dies, this process
+    computes its share too, so the caller sees the serial pair loop's result
+    or exception; if this process raises, the child is killed and reaped.
+    Without a free second CPU (see :func:`_can_split`) or when the fork
+    fails, every pair is computed here.
     """
     mode = ev.mode
     pairs = range(ev.n // 2 + 1)

@@ -9,7 +9,7 @@ import pytest
 
 from visitprob import cli
 from visitprob.chain_model import State, build_chain
-from visitprob.closed_form import _Evaluator
+from visitprob.closed_form import _Evaluator, _pair_masses, summation_limits
 from visitprob.numerics import NumericMode
 
 
@@ -260,9 +260,24 @@ class TestValidateCommand:
 @pytest.mark.parametrize("mode", list(NumericMode))
 @pytest.mark.parametrize("n", [1, 2, 9, 40])
 def test_term_count_is_the_evaluators_count(mode, n):
-    """``diagnostics.terms`` counts the interior terms one probability
-    evaluates; a boundary k evaluates none and is reported as 1."""
+    """``diagnostics.terms`` is the closed form's count of the interior terms
+    behind one probability, 2c1 + c2 + c3; a boundary k has none and is
+    reported as 1.  FLOAT and LOGSPACE evaluate exactly those terms for each
+    k.  EXACT mode evaluates the pair (m, n-m) at once: its S1->S0 and S0->S1
+    branches share one sum of c1 terms, formed once for both masses, so the
+    pair evaluates the count of either mass less c1."""
     ev = _Evaluator(build_chain("3/10", "2/5", "1/2", mode), n)
+    if mode is NumericMode.EXACT:
+        for m in range(n // 2 + 1):
+            before = ev.terms_evaluated
+            _pair_masses(ev, range(m, m + 1), State.S1)
+            evaluated = ev.terms_evaluated - before
+            if m == 0:
+                assert (cli._term_count(0, n), cli._term_count(n, n), evaluated) == (1, 1, 0)
+            else:
+                shared = summation_limits(m, n).c1
+                assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
+        return
     for k in range(n + 1):
         before = ev.terms_evaluated
         ev.visit_probability(k, State.S1)

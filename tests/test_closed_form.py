@@ -375,15 +375,23 @@ BRANCH_LIMIT = {
 
 
 def assert_exact_branches_match_reference(ev):
-    """Every interior branch's ratio-loop integer is the sum of the
-    reference terms, and it counts c1, c2 or c3 of them."""
+    """At every k, each of the four branch numerators that the pair
+    (m, n-m) derives from its three sums is the sum of the reference terms,
+    with or without the other k of the pair; and the pair forms c1 + c2 + c3
+    terms, the summation limits of k = m."""
     n = ev.n
-    for k, (start, final) in product(range(1, n), _OFFSETS):
-        expected = reference_interior_terms(ev, start, final, k)
+    for m in range(1, n // 2 + 1):
+        ks = (m, n - m) if 2 * m < n else (m,)
         before = ev.terms_evaluated
-        assert ev._exact_branch(start, final, k) == sum(expected)
-        limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
-        assert ev.terms_evaluated - before == len(expected) == limit
+        pair = ev._pair(ks)
+        limits = summation_limits(m, n)
+        assert ev.terms_evaluated - before == limits.c1 + limits.c2 + limits.c3
+        for k, sums in zip(ks, pair):
+            expected = [
+                sum(reference_interior_terms(ev, start, final, k)) for start, final in _OFFSETS
+            ]
+            assert list(sums) == expected
+            assert ev._pair((k,)) == [sums]
 
 
 class TestInteriorTerms:
@@ -400,7 +408,7 @@ class TestInteriorTerms:
             assert ev._interior_terms(start, final, k) == expected
             assert ev.terms_evaluated - before == len(expected)
             limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
-            assert len(expected) == _branch_limit(start, final, k, n) == limit
+            assert len(expected) == _branch_limit(*_OFFSETS[start, final][:2], k, n) == limit
 
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_exact_ratio_loop_matches_reference_loop(self, n):
@@ -552,6 +560,14 @@ class TestLatticeReferee:
         assert [m.value for m in closed.mass] == lattice_masses(chain, 400, target)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("params", [GENERIC, SKEWED], ids=["generic", "skewed"])
+    def test_exact_n1000_equals_lattice_recursion(self, params):
+        # The pair sums' longest ratio chains: about 500 steps each.
+        chain = build_chain(*params)
+        closed = visit_distribution(1000, State.S1, chain)
+        assert [m.value for m in closed.mass] == lattice_masses(chain, 1000, State.S1)
+        assert_no_child_left()
+
 
 def serial_masses(chain, n, target):
     """Reprs of the per-k loop a split distribution must reproduce."""
@@ -681,18 +697,18 @@ class TestSplitDistribution:
     def test_split_interrupt_kills_and_reaps_child(self, monkeypatch):
         """The parent is interrupted while its child is still busy."""
         parent = os.getpid()
-        real = _Evaluator.visit_probability
+        real = _Evaluator._pair
         slept = []
 
-        def visit_probability(ev, k, target):
+        def pair(ev, ks):
             if os.getpid() != parent and not slept:
                 slept.append(None)
                 time.sleep(60)
-            elif k == 2:
+            elif ks[0] == 2:
                 raise KeyboardInterrupt
-            return real(ev, k, target)
+            return real(ev, ks)
 
-        monkeypatch.setattr(_Evaluator, "visit_probability", visit_probability)
+        monkeypatch.setattr(_Evaluator, "_pair", pair)
         chain = build_chain(*GENERIC, NumericMode.FLOAT)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
