@@ -36,6 +36,15 @@ forward; the exponents of p11 (k-j+o11) and p00 (n-k-j+o00) fall with j, so
 those two slices are read reversed.  The join applies the operator in one
 fixed order, so both backends' bits are those of a per-term loop.
 
+The two masses of a pair (m, n-m) share their joins.  Product and sum of
+two doubles commute exactly, and k = n-m reads rows m-1 and n-m-1 in the
+places k = m reads n-m-1 and m-1, so the first join (row1 . row2) of k = n-m
+with binomial offsets (o1, o2) equals that of k = m with (o2, o1): a pair
+forms three first joins, one per limit c1, c2 and c3, not eight.  At each k,
+S1->S0 and S0->S1 also share the join with p11.  No branch of the pair reads
+row n-m-1 past index m (the limits stop every run there), so that row is
+built only to index m: m+1 entries where it has n-m, and row m-1 whole.
+
 EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
 terms they share one denominator d0; likewise p10 and p11 share d1, and p0
 and p1 share w.  Its terms are binomials times powers of the four
@@ -82,7 +91,8 @@ its reduction raises :class:`~visitprob.errors.NumericalError`.
 Every P(N1 = k | N) reads only the shared power tables and, in FLOAT and
 LOGSPACE, binomial rows k-1 and N-k-1, which only P(N1 = N-k | N) also
 reads.  So a distribution is evaluated by pairs (m, N-m), and the evaluator
-keeps just the two rows of the current pair: memory grows linearly in N.
+keeps just the two rows (or row prefixes) of the current pair: memory grows
+linearly in N.
 From N = 400 on, ``visit_distribution`` passes its evaluator to
 :func:`visitprob.split.split_masses`, which, when a second CPU is free,
 forks one child that evaluates the pairs with odd m and sends the raw
@@ -217,14 +227,11 @@ def _term_shape(
     return (k - 1, j + o1, n - k - 1, j + o2, n - k - j + o00, j + o01, j + o10, k - j + o11)
 
 
-def _float_row(m: int) -> list[float]:
-    """C(m, 0..m) as doubles; the running product overflows to inf past row 1020."""
-    row = [1.0]
+def _float_row(m: int, length: int) -> list[float]:
+    """C(m, 0..length-1) as doubles, length <= m+1; the running product
+    overflows to inf past row 1020."""
     c = 1.0
-    for i in range(1, m + 1):
-        c = c * (m - i + 1) / i
-        row.append(c)
-    return row
+    return [1.0] + [c := c * (m - i + 1) / i for i in range(1, length)]
 
 
 def _finite_sum(terms: list[float], n: int) -> float:
@@ -251,9 +258,9 @@ class _Evaluator:
     numerators in EXACT mode).  EXACT mode also keeps X = P01*P10 and
     Y = P00*P11, the bases of its pair sums, and the denominators d0 of
     p00/p01 and d1 of p10/p11; FLOAT and LOGSPACE keep the mode's
-    binomial-row builder (keeping the two rows a pair (k, n-k) reads), term
-    operator and branch reduction.  ``_pair`` evaluates every interior k,
-    alone or with its mirror n-k."""
+    binomial-row builder (row r to a given length, keeping the two rows a
+    pair (k, n-k) reads), term operator and branch reduction.  ``_pair``
+    evaluates every interior k, alone or with its mirror n-k."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated", "_pows", "_ratio", "_d0", "_d1",
@@ -283,8 +290,12 @@ class _Evaluator:
         else:
             # lf[i] = log i!; row entries subtract in log_binomial's order.
             lf = [math.lgamma(i + 1) for i in range(n)]
-            build_row = lambda m: list(  # noqa: E731
-                map(operator.sub, map(operator.sub, repeat(lf[m]), lf), lf[m::-1])
+            build_row = lambda m, length: list(  # noqa: E731
+                map(
+                    operator.sub,
+                    map(operator.sub, repeat(lf[m], length), lf),
+                    reversed(lf[m + 1 - length : m + 1]),
+                )
             )
             self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
             self._combine = operator.add
@@ -292,44 +303,21 @@ class _Evaluator:
         # Neither builder refers to self, so the evaluator makes no reference cycle.
         self._row = functools.lru_cache(maxsize=2)(build_row)
 
-    def _interior_terms(self, start: State, final: State, k: int) -> list:
-        """Payloads of the nonzero terms j = 1..hi of one interior sum.
-
-        hi is the branch's summation limit (c1, c2 or c3), the last j that
-        stays inside both binomial rows, so the terms past it, zero under
-        zero-extended binomials, are never formed.  The join applies the
-        mode's operator in the order ((((row1 . row2) . p11) . p10) . p01) . p00.
-        """
-        n = self.n
-        o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
-        row1, row2 = self._row(k - 1), self._row(n - k - 1)
-        hi = _branch_limit(o1, o2, k, n)
-        pow00, pow01, pow10, pow11 = self._pows
-        op = self._combine
-        # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
-        terms = map(op, row1[1 + o1 : hi + 1 + o1], row2[1 + o2 : hi + 1 + o2])
-        terms = map(op, terms, reversed(pow11[k - hi + o11 : k + o11]))
-        terms = map(op, terms, pow10[1 + o10 : hi + 1 + o10])
-        terms = map(op, terms, pow01[1 + o01 : hi + 1 + o01])
-        terms = list(map(op, terms, reversed(pow00[n - k - hi + o00 : n - k + o00])))
-        self.terms_evaluated += hi
-        return terms
-
     def _pair(self, ks: tuple[int, ...]) -> list[tuple]:
         """The four interior sums of each k in ``ks``, in the order of
         ``_OFFSETS`` (S1->S0, S1->S1, S0->S1, S0->S0): FLOAT or LOGSPACE
         values, or EXACT integer numerators over d0**a * d1**b.
 
         ``ks`` is one interior k, or the pair (m, n-m) with 0 < m < n/2.
-        FLOAT and LOGSPACE evaluate every branch of every k.  EXACT mode
-        forms the three pair sums T_A, T_B and T_C of m = min(k, n-k) once
-        and derives every branch from them, as the module docstring says.
+        FLOAT and LOGSPACE form each branch's terms from rows m-1 and n-m-1
+        (see ``_joined_sums``).  EXACT mode forms the three pair sums T_A,
+        T_B and T_C of m = min(k, n-k) once and derives every branch from
+        them, as the module docstring says.
         """
         n = self.n
-        if self.mode is not NumericMode.EXACT:
-            reduce, terms = self._reduce, self._interior_terms
-            return [tuple(reduce(terms(start, final, k)) for start, final in _OFFSETS) for k in ks]
         m = min(ks[0], n - ks[0])
+        if self.mode is not NumericMode.EXACT:
+            return self._joined_sums(ks, m)
         c1, c2, c3 = [_branch_limit(o1, o2, m, n) for o1, o2 in _LIMIT_OFFSETS]
         self.terms_evaluated += c1 + c2 + c3
         a, b = m - 1, n - m - 1
@@ -347,6 +335,48 @@ class _Evaluator:
             long = q0[n - m - 1 - c3] * q1[m - c3] * t_c
             same1, same0 = (short, long) if k == m else (long, short)
             sums.append((pow10[1] * cross, same1, pow01[1] * cross, same0))
+        return sums
+
+    def _joined_sums(self, ks: tuple[int, ...], m: int) -> list[tuple]:
+        """FLOAT and LOGSPACE ``_pair``: each branch reduces its nonzero
+        terms j = 1..hi, hi its summation limit (c1, c2 or c3).
+
+        Term j of a branch of k joins C(k-1, j+o1), C(n-k-1, j+o2) and four
+        powers with the mode's operator in the order
+        ((((row1 . row2) . p11) . p10) . p01) . p00, each factor read from a
+        slice.  The operator commutes, so the first join of k = n-m with
+        binomial offsets (o1, o2) is that of k = m with (o2, o1): the pair
+        forms three first joins, one per limit of k = m.  Branches of one k
+        with the same offsets o1, o2 and o11, S1->S0 and S0->S1, also share
+        the join with p11.  Those reads need row m-1 whole (m entries) and
+        row n-m-1 only to index m (m+1 entries).
+        """
+        n = self.n
+        op, reduce = self._combine, self._reduce
+        pow00, pow01, pow10, pow11 = self._pows
+        row_a, row_b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
+        first = {}
+        for o1, o2 in _LIMIT_OFFSETS:
+            hi = _branch_limit(o1, o2, m, n)
+            first[o1, o2] = list(map(op, row_a[1 + o1 : hi + 1 + o1], row_b[1 + o2 : hi + 1 + o2]))
+        sums = []
+        for k in ks:
+            joined = {}
+            branch_sums = []
+            for o1, o2, o00, o01, o10, o11 in _OFFSETS.values():
+                terms = joined.get((o1, o2, o11))
+                if terms is None:
+                    base = first[(o1, o2) if k == m else (o2, o1)]
+                    # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
+                    p11 = reversed(pow11[k - len(base) + o11 : k + o11])
+                    terms = joined[o1, o2, o11] = list(map(op, base, p11))
+                hi = len(terms)
+                joins = map(op, terms, pow10[1 + o10 : hi + 1 + o10])
+                joins = map(op, joins, pow01[1 + o01 : hi + 1 + o01])
+                joins = map(op, joins, reversed(pow00[n - k - hi + o00 : n - k + o00]))
+                branch_sums.append(reduce(list(joins)))
+                self.terms_evaluated += hi
+            sums.append(tuple(branch_sums))
         return sums
 
     def _pair_sum(self, a: int, b: int, c: int, d1: int, d2: int) -> int:
@@ -442,8 +472,8 @@ def _pair_masses(ev: _Evaluator, ms: range, target: State) -> dict[int, ProbValu
     """{k: P(target = k)} for k = m and k = n-m, for each m <= n/2 in ``ms``.
 
     One ``_Evaluator._pair`` call serves both masses of an interior pair: in
-    EXACT mode they share its three pair sums, and in FLOAT and LOGSPACE they
-    read the same binomial rows m-1 and n-m-1 back to back.  m = 0 gives the
+    EXACT mode they share its three pair sums, and in FLOAT and LOGSPACE the
+    three joins of binomial rows m-1 and n-m-1.  m = 0 gives the
     boundary masses k = 0 and k = n.
     """
     n = ev.n

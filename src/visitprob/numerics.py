@@ -10,8 +10,12 @@ nonnegative real tagged with the backend it lives in.
   stay accurate to a few ulp.
 * ``LOGSPACE`` -- doubles holding the natural log of the value, with
   ``-inf`` as the distinguished representation of zero.  Sums use a
-  log-sum-exp reduction anchored at the largest term.  This backend keeps
-  horizons in the thousands representable where plain doubles underflow.
+  log-sum-exp reduction anchored at the largest term, the exps summed by
+  ``math.fsum``.  It sums the window of terms within 49 nats of the anchor
+  and keeps that sum only if adding a bound on all the other terms leaves it
+  unchanged; otherwise it sums every term.  Either way the bits are those of
+  the sum over every term.  This backend keeps horizons in the thousands
+  representable where plain doubles underflow.
 
 The convention ``0**0 == 1`` holds in every backend: the boundary branches
 of the closed form raise a possibly-zero probability to the zeroth power
@@ -23,8 +27,10 @@ are safe to share across threads without synchronization.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -232,13 +238,43 @@ def _compensated_sum(values: list[float]) -> float:
     return total + comp
 
 
+# Width in nats of the log-sum-exp window: exp(-49) < 2**-70, so a term this
+# far below the anchor is under 2**-70 of the anchor's exp, 1.
+_LSE_WINDOW = 49.0
+
+
 def _log_sum_exp(values: list[float]) -> float:
-    """Log-sum-exp anchored at the maximum; all-zero input yields -inf."""
+    """Log-sum-exp anchored at the maximum; all-zero input yields -inf.
+
+    Only the window around the anchor, from the first value within
+    ``_LSE_WINDOW`` of it on the left to the last on the right (found by
+    bisection, as for unimodal terms), is summed, and only if that gives the
+    bits of the full sum.  The rest, the tail, has exps of at most
+    ``top = exp(max(tail) - anchor)`` each (to a rounding error), so their sum
+    is below ``bound = top * 2**(bit_length(len(tail)) + 1)``.  ``math.fsum``
+    rounds correctly and rounding is monotone, so if adding ``bound`` to the
+    window leaves its sum unchanged, adding the tail does too.  Otherwise
+    every exp is summed.  The check, not the shape of the terms, makes the
+    result equal to the full sum's.
+    """
     if not values:
         return _NEG_INF
     anchor = max(values)
     if anchor == _NEG_INF:
         return _NEG_INF
+    peak = values.index(anchor)
+    cut = anchor - _LSE_WINDOW
+    lo = bisect.bisect_left(values, cut, 0, peak)
+    hi = bisect.bisect_right(values, -cut, peak + 1, len(values), key=operator.neg)
+    if lo or hi < len(values):
+        window = list(map(math.exp, map(operator.sub, values[lo:hi], repeat(anchor))))
+        total = math.fsum(window)
+        tail = values[:lo] + values[hi:]
+        # The floor covers exps that underflow below the smallest normal double.
+        top = max(math.exp(max(tail) - anchor), sys.float_info.min)
+        window.append(math.ldexp(top, len(tail).bit_length() + 1))
+        if math.fsum(window) == total:
+            return anchor + math.log(total)
     return anchor + math.log(math.fsum(map(math.exp, map(operator.sub, values, repeat(anchor)))))
 
 

@@ -44,9 +44,9 @@ def split_masses(ev, target: State) -> dict[int, ProbValue]:
     the pairs (m, n-m) with odd m computed by one forked child.
 
     Pair m has about 8 * m terms in FLOAT and LOGSPACE, where it also builds
-    two binomial rows of about n entries, and 3 * m in EXACT mode, so
-    alternate pairs give both processes half the rows and, to within 8 terms
-    per pair, half of the terms.  The child sends its ``{k: payload}``
+    2 * m + 1 binomial-row entries, and 3 * m in EXACT mode, so alternate
+    pairs give both processes, to within 8 terms and 2 row entries per pair,
+    half of the work.  The child sends its ``{k: payload}``
     through a pipe with ``marshal``.  If it fails or dies, this process
     computes its share too, so the caller sees the serial pair loop's result
     or exception; if this process raises, the child is killed and reaped.

@@ -10,7 +10,6 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -86,6 +85,13 @@ MASS_DIGESTS = {
     ("float", "flip", "S1", "1035"): "66cfb45714e9d993f08cfd8b32c1b108cd886ec50ed92be562dccdc2e59f23ac",
     ("float", "absorbing", "S1", "1035"): "04dd6b35c006fe34238e95b6a7f9acb13f61e39ec9232e4fcf06784a9cba9a75",
 }
+# Logspace at N = 2000, past FLOAT_MAX_HORIZON, where each branch's terms span
+# thousands of nats and log-sum-exp sums a narrow window of them.  Target S1;
+# pinned before the window was introduced.
+LOGSPACE_N2000_DIGESTS = {
+    "generic": "cac3ff0c4783718927371c43373efb8118660f9d43c96b4b1eb8819347bb0f23",
+    "skewed": "cbcb5a61302b06d41feddae3fa3b2810e4b35079e1a710d853d0e0d91b3b18b2",
+}
 MASS_DIGEST_HORIZON = {"exact": 120, "float": 300, "logspace": 300}
 MASS_DIGEST_CHAINS = {
     "generic": GENERIC,
@@ -96,19 +102,30 @@ MASS_DIGEST_CHAINS = {
 
 
 
+def reference_row(mode, m):
+    """Binomial row m, whole, as each mode's rows are built: ``math.comb``
+    integers, the running product c * (m-i+1) / i in doubles, or
+    log m! - log i! - log (m-i)! from ``lgamma``."""
+    if mode is NumericMode.EXACT:
+        return [math.comb(m, r) for r in range(m + 1)]
+    if mode is NumericMode.FLOAT:
+        row = [1.0]
+        for i in range(1, m + 1):
+            row.append(row[-1] * (m - i + 1) / i)
+        return row
+    lf = [math.lgamma(i + 1) for i in range(m + 1)]
+    return [lf[m] - lf[i] - lf[m - i] for i in range(m + 1)]
+
+
 def reference_interior_terms(ev, start, final, k):
     """The per-j loop the slice pipeline replaced, run to j = n: term j of
     one branch, skipping j past either binomial row (the zero-extended
-    binomials).  In EXACT mode the rows are ``math.comb`` rows and the
-    factors, the evaluator's numerator powers among them, are multiplied."""
+    binomials).  It builds whole rows itself; in EXACT mode the factors, the
+    evaluator's numerator powers among them, are multiplied."""
     n = ev.n
     o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
-    if ev.mode is NumericMode.EXACT:
-        row1, row2 = ([math.comb(m, r) for r in range(m + 1)] for m in (k - 1, n - k - 1))
-        op = operator.mul
-    else:
-        row1, row2 = ev._row(k - 1), ev._row(n - k - 1)
-        op = ev._combine
+    row1, row2 = reference_row(ev.mode, k - 1), reference_row(ev.mode, n - k - 1)
+    op = operator.mul if ev.mode is NumericMode.EXACT else ev._combine
     pow00, pow01, pow10, pow11 = ev._pows
     out = []
     for j in range(1, n + 1):
@@ -400,15 +417,46 @@ class TestInteriorTerms:
     def test_pipeline_matches_reference_loop(self, mode, n):
         """The limits are redundant: the reference runs every branch to
         j = n and skips only zero binomials, yet the pipeline, bounded by
-        ``_branch_limit``, forms the same terms, c1, c2 or c3 of them."""
+        ``_branch_limit``, forms the same terms, c1, c2 or c3 of them, whether
+        k is evaluated with its mirror n-k (sharing their joins) or alone.
+        With ``list`` as the reduction, ``_pair`` returns each branch's terms."""
         ev = _Evaluator(build_chain(*SKEWED, mode), n)
-        for k, (start, final) in product(range(1, n), _OFFSETS):
-            expected = reference_interior_terms(ev, start, final, k)
+        ev._reduce = list
+        for m in range(1, n // 2 + 1):
+            ks = (m, n - m) if 2 * m < n else (m,)
             before = ev.terms_evaluated
-            assert ev._interior_terms(start, final, k) == expected
-            assert ev.terms_evaluated - before == len(expected)
-            limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
-            assert len(expected) == _branch_limit(*_OFFSETS[start, final][:2], k, n) == limit
+            pair = ev._pair(ks)
+            formed = ev.terms_evaluated - before
+            for k, branches in zip(ks, pair):
+                assert ev._pair((k,)) == [branches]
+                for (start, final), terms in zip(_OFFSETS, branches):
+                    expected = reference_interior_terms(ev, start, final, k)
+                    assert terms == expected
+                    limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
+                    assert len(expected) == _branch_limit(*_OFFSETS[start, final][:2], k, n) == limit
+            assert formed == sum(len(terms) for branches in pair for terms in branches)
+
+    @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
+    @pytest.mark.parametrize("n", [2, 3, 9, 40, 41])
+    def test_pair_builds_row_prefixes(self, mode, n):
+        """Pair m builds row m-1 whole (m entries) and row n-m-1 only to
+        index m (m+1 entries, or all n-m of it): the most any branch of m or
+        n-m reads.  Each is a prefix of the whole row, bit for bit."""
+        ev = _Evaluator(build_chain(*SKEWED, mode), n)
+        row, built = ev._row, []
+
+        def recording_row(r, length):
+            entries = row(r, length)
+            built.append((r, len(entries)))
+            return entries
+
+        ev._row = recording_row
+        for m in range(1, n // 2 + 1):
+            built.clear()
+            ev._pair((m, n - m) if 2 * m < n else (m,))
+            assert built == [(m - 1, m), (n - m - 1, min(m + 1, n - m))]
+            for r, length in built:
+                assert row(r, length) == reference_row(mode, r)[:length]
 
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_exact_ratio_loop_matches_reference_loop(self, n):
@@ -611,6 +659,16 @@ class TestSplitDistribution:
     def test_split_masses_equal_serial_loop(self, mode, n, target):
         chain = build_chain(*SKEWED, mode)
         assert distribution_masses(chain, n, target) == serial_masses(chain, n, target)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("split_on", [True, False], ids=["split", "serial"])
+    @pytest.mark.parametrize("chain_name", list(LOGSPACE_N2000_DIGESTS))
+    def test_split_logspace_n2000_matches_frozen_digest(self, monkeypatch, chain_name, split_on):
+        if not split_on:
+            monkeypatch.setattr(split, "_can_split", lambda: False)
+        chain = build_chain(*MASS_DIGEST_CHAINS[chain_name], NumericMode.LOGSPACE)
+        text = "\n".join(distribution_masses(chain, 2000, State.S1))
+        assert hashlib.sha256(text.encode()).hexdigest() == LOGSPACE_N2000_DIGESTS[chain_name]
         assert_no_child_left()
 
     @needs_fork

@@ -9,6 +9,7 @@ from visitprob.errors import BackendMismatchError, ParameterError
 from visitprob.numerics import (
     NumericMode,
     ProbValue,
+    _LSE_WINDOW,
     _compensated_sum,
     _log_sum_exp,
     convert,
@@ -70,6 +71,34 @@ log_values = st.one_of(
     st.floats(min_value=-800.0, max_value=0.0),
     st.just(NEG_INF),
 )
+
+
+@st.composite
+def unimodal_logs(draw):
+    """Lists of up to 2000 logs that rise to a peak and fall, like one
+    closed-form branch's terms: slopes and curvature give spreads from a few
+    nats to thousands, with ties at the anchor and ``-inf`` at either end."""
+    size = draw(st.integers(min_value=1, max_value=2000))
+    peak = draw(st.integers(min_value=0, max_value=size - 1))
+    anchor = draw(st.floats(min_value=-800.0, max_value=5.0))
+    rise, fall = draw(st.tuples(*[st.floats(min_value=0.0, max_value=4.0)] * 2))
+    curvature = draw(st.sampled_from([0.0, 1e-4, 0.01, 0.3]))
+    ties = draw(st.integers(min_value=0, max_value=3))
+    zeros_left, zeros_right = draw(st.tuples(*[st.integers(min_value=0, max_value=3)] * 2))
+
+    def log_term(j):
+        d = abs(j - peak)
+        return anchor - (rise if j < peak else fall) * d - curvature * d * d
+
+    values = [log_term(j) for j in range(size)]
+    values[peak + 1 : peak + 1] = [anchor] * ties
+    return [NEG_INF] * zeros_left + values + [NEG_INF] * zeros_right
+
+
+# Exp of the middle entry is just below 2**-53, so the window [0.0, x] sums to
+# 1.0, while the term at -50.0, outside the window, lifts the full sum past the
+# tie at 1 + 2**-53: the bound check fails and every exp is summed.
+FALLBACK_LOGS = [0.0, -36.73680056967711, -50.0]
 
 
 class TestPowProb:
@@ -169,6 +198,19 @@ class TestReductionsMatchReference:
     )
     def test_log_sum_exp_edge_cases(self, xs):
         assert same_bits(_log_sum_exp(xs), reference_log_sum_exp(xs))
+
+    @given(unimodal_logs())
+    def test_windowed_log_sum_exp_bits_on_unimodal_terms(self, xs):
+        assert same_bits(_log_sum_exp(xs), reference_log_sum_exp(xs))
+
+    def test_windowed_log_sum_exp_falls_back_when_the_tail_counts(self):
+        xs = FALLBACK_LOGS
+        window = [math.exp(x) for x in xs if x >= -_LSE_WINDOW]
+        assert len(window) == 2
+        assert math.fsum(window) == 1.0
+        assert math.fsum(window + [math.exp(xs[-1])]) > 1.0
+        assert same_bits(_log_sum_exp(xs), reference_log_sum_exp(xs))
+        assert _log_sum_exp(xs) > 0.0
 
 
 class TestConvert:
