@@ -136,8 +136,9 @@ def _term_count(k: int, n: int) -> int:
     """The closed form's count of interior terms behind one probability value,
     2c1 + c2 + c3 over its four branch sums, with 1 for a boundary k.
 
-    It counts the terms of the formula, not the engine's steps: EXACT mode
-    forms the shared equal-run sum of a pair (k, n-k) once for both masses.
+    It counts the terms of the formula, not the engine's steps: every mode
+    evaluates both masses of a pair (k, n-k) from three pair sums of
+    c1 + c2 + c3 terms in all.
     """
     if k == 0 or k == n:
         return 1

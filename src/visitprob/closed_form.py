@@ -21,34 +21,40 @@ nonzero, so with zero-extended binomials the sums may equivalently run to
 N.  Each sum stops where the first of its two binomials runs out, at c1,
 c2 or c3, and so drops exactly the zero terms.
 
-The FLOAT and LOGSPACE backends share one term pipeline.  Each supplies
-binomial rows (incremental doubles, or log-factorial differences), the
-powers 0..N of each transition probability (running products, or
-exponent-weighted logs), the operator joining a term's factors (product, or
-sum of logs) and the reduction of one branch's terms (compensated sum, or
-log-sum-exp, which keeps horizons in the thousands stable).
+Every mode sums each pair (m, n-m), 0 < m <= n/2, once.  A branch at k and
+its mirror at n-k differ only in that the powers of p00 and p11 trade
+places, and S1->S0 and S0->S1 differ only in a factor p10 against p01 (the
+Markov-binomial symmetry; Gabriel, Biometrika 46, 1959).  With
+X = p01*p10, Y = p00*p11, a = m-1, b = n-m-1 and c1, c2, c3 the limits of
+k = m, the pair needs three sums of one form, term i standing for j = i+1:
 
-Term j reads each of its six factors at an index linear in j, so the terms
-j = 1..hi of one branch read six contiguous runs: one slice per factor,
-joined by ``map`` in C rather than by a Python loop.  The two binomial
-indices and the exponents of p10 and p01 rise with j, so their slices run
-forward; the exponents of p11 (k-j+o11) and p00 (n-k-j+o00) fall with j, so
-those two slices are read reversed.  The join applies the operator in one
-fixed order, so both backends' bits are those of a per-term loop.
+    T(c, d1, d2) = sum_{i=0..c-1} C(a, i+d1) * C(b, i+d2) * X**(i+d1+d2) * Y**(c-1-i)
 
-The two masses of a pair (m, n-m) share their joins.  Product and sum of
-two doubles commute exactly, and k = n-m reads rows m-1 and n-m-1 in the
-places k = m reads n-m-1 and m-1, so the first join (row1 . row2) of k = n-m
-with binomial offsets (o1, o2) equals that of k = m with (o2, o1): a pair
-forms three first joins, one per limit c1, c2 and c3, not eight.  At each k,
-S1->S0 and S0->S1 also share the join with p11.  No branch of the pair reads
-row n-m-1 past index m (the limits stop every run there), so that row is
-built only to index m: m+1 entries where it has n-m, and row m-1 whole.
+    T_A = T(c1, 0, 0),  T_B = T(c2, 1, 0),  T_C = T(c3, 0, 1)
+
+At k = m the branch sums are S1->S0 = p10 * p00**(n-2m) * T_A,
+S0->S1 = p01 * p00**(n-2m) * T_A, S1->S1 = p00**(n-2m+1) * T_B and
+S0->S0 = p00**(n-m-1-c3) * p11**(m-c3) * T_C.  At k = n-m, whose limits are
+c1, c3 and c2, p00 and p11 trade places in these factors and T_B and T_C
+trade branches: T_B gives S0->S0 and T_C gives S1->S1.  A pair so forms
+c1 + c2 + c3 terms where its eight branch sums have 2 * (2c1 + c2 + c3).
+Each mode supplies the three sums and the operator that applies these
+factors (product, or sum of logs); the rest is shared.
+
+FLOAT and LOGSPACE read each sum's terms from slices of binomial rows a and
+b (incremental doubles, or log-factorial differences) and of the powers
+0..n/2 of X and Y (running products, or exponent-weighted logs).  Term i
+reads each of its four factors at an index linear in i, so one slice per
+factor (the powers of Y read reversed, as their exponent falls), joined by
+``map`` in C, rows first, then X, then Y, gives the sum's terms.  A
+compensated sum, or log-sum-exp (which keeps horizons in the thousands
+stable), reduces them.  Row a is read whole (m entries) and row b only to
+index m, so that row is built only to there: m+1 entries where it has n-m.
 
 EXACT mode works in integers.  p00 and p01 sum to exactly 1, so in lowest
 terms they share one denominator d0; likewise p10 and p11 share d1, and p0
-and p1 share w.  Its terms are binomials times powers of the four
-*numerators* P00..P11, and a branch's integer sum is its numerator over
+and p1 share w.  Its sums are those above in the *numerators* P00..P11 of
+the four probabilities, and a branch's integer sum is its numerator over
 d0**a * d1**b, where a = n-k+o00+o01 and b = k+o10+o11 count the branch's
 transitions out of S0 and out of S1 (both independent of j).  A branch
 ending in S0 has a = n-k-1 and b = k, one ending in S1 a = n-k and
@@ -57,33 +63,15 @@ branches of one k over d0**(n-k) * d1**k.  Weighted by the numerators of p1
 and p0, they make one integer over w * d0**(n-k) * d1**k: one ``Fraction``
 (one gcd) per interior k, equal to the sum of the per-term fractions.
 
-EXACT mode sums each pair (m, n-m), 0 < m <= n/2, once.  A branch at k and
-its mirror at n-k differ only in that the powers of p00 and p11 trade
-places, and S1->S0 and S0->S1 differ only in a factor p10 against p01 (the
-Markov-binomial symmetry; Gabriel, Biometrika 46, 1959).  With X = P01*P10,
-Y = P00*P11, a = m-1, b = n-m-1 and c1, c2, c3 the limits of k = m, the
-pair needs three integer sums:
-
-    T_A = sum_{j=1..c1} C(a, j-1) * C(b, j-1) * Y**(c1-j) * X**(j-1)
-    T_B = sum_{j=1..c2} C(a, j)   * C(b, j-1) * Y**(c2-j) * X**j
-    T_C = sum_{j=1..c3} C(a, j-1) * C(b, j)   * Y**(c3-j) * X**j
-
-At k = m the branch numerators are S1->S0 = P10 * P00**(n-2m) * T_A,
-S0->S1 = P01 * P00**(n-2m) * T_A, S1->S1 = P00**(n-2m+1) * T_B and
-S0->S0 = P00**(n-m-1-c3) * P11**(m-c3) * T_C.  At k = n-m, whose limits are
-c1, c3 and c2, P00 and P11 trade places in these factors and T_B and T_C
-trade branches: T_B gives S0->S0 and T_C gives S1->S1.  A pair so forms
-c1 + c2 + c3 terms where its eight branch sums have 2 * (2c1 + c2 + c3).
-
-Each pair sum is a terminating hypergeometric sum, summed by term ratios
-with no binomial table (Petkovsek, Wilf and Zeilberger, A = B, 1996).  With
-r1 and r2 the lower indices of its two binomials, term j+1 over term j is
-(a-r1)(b-r2) * X / ((r1+1)(r2+1) * Y).  The first term is a power of Y
-times 1, a or b (its binomials) and 1 or X, and each next one comes from
-one product and one exact floor division by small integers.  Where Y = 0
-the ratio is undefined, but every term except the last (j = c) carries a
-power of Y, so that one term is formed directly; where X = 0 every term
-after the first is 0.
+Each EXACT pair sum is a terminating hypergeometric sum, summed by term
+ratios with no binomial table (Petkovsek, Wilf and Zeilberger, A = B,
+1996).  With r1 and r2 the lower indices of its two binomials, term j+1
+over term j is (a-r1)(b-r2) * X / ((r1+1)(r2+1) * Y).  The first term is a
+power of Y times 1, a or b (its binomials) and 1 or X, and each next one
+comes from one product and one exact floor division by small integers.
+Where Y = 0 the ratio is undefined, but every term except the last (j = c)
+carries a power of Y, so that one term is formed directly; where X = 0
+every term after the first is 0.
 
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
@@ -253,18 +241,24 @@ def _running_powers(one, base, n: int) -> list:
     return powers
 
 
+def _log_powers(log_base: float, n: int) -> list[float]:
+    """log(base**0..n); the 0th is 0.0 even where log_base is -inf."""
+    return [0.0] + [e * log_base for e in range(1, n + 1)]
+
+
 class _Evaluator:
     """Shared per-call state: powers 0..n of p00, p01, p10 and p11 (of their
-    numerators in EXACT mode).  EXACT mode also keeps X = P01*P10 and
-    Y = P00*P11, the bases of its pair sums, and the denominators d0 of
-    p00/p01 and d1 of p10/p11; FLOAT and LOGSPACE keep the mode's
-    binomial-row builder (row r to a given length, keeping the two rows a
-    pair (k, n-k) reads), term operator and branch reduction.  ``_pair``
-    evaluates every interior k, alone or with its mirror n-k."""
+    numerators in EXACT mode) and the mode's operator applying them.  EXACT
+    mode also keeps X = P01*P10 and Y = P00*P11, the bases of its pair sums,
+    and the denominators d0 of p00/p01 and d1 of p10/p11; FLOAT and LOGSPACE
+    keep powers 0..n/2 of X = p01*p10 and Y = p00*p11, the mode's
+    binomial-row builder (row r to a given length) and its reduction of one
+    sum's terms.  ``_pair`` evaluates every interior k, alone or with its
+    mirror n-k."""
 
     __slots__ = (
-        "chain", "n", "mode", "terms_evaluated", "_pows", "_ratio", "_d0", "_d1",
-        "_row", "_combine", "_reduce",
+        "chain", "n", "mode", "terms_evaluated", "_pows", "_combine", "_ratio", "_d0", "_d1",
+        "_xy_pows", "_row", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -278,30 +272,36 @@ class _Evaluator:
         if self.mode is NumericMode.EXACT:
             p00, p01, p10, p11 = (b.numerator for b in bases)
             self._pows = [_running_powers(1, p, n) for p in (p00, p01, p10, p11)]
+            self._combine = operator.mul
             self._ratio = (p01 * p10, p00 * p11)
             self._d0 = chain.p01.value.denominator
             self._d1 = chain.p10.value.denominator
             return
+        p00, p01, p10, p11 = bases
+        # No row builder or reduction refers to self, so the evaluator makes no
+        # reference cycle.
         if self.mode is NumericMode.FLOAT:
-            build_row = _float_row
-            self._pows = [_running_powers(1.0, b, n) for b in bases]
+            powers = functools.partial(_running_powers, 1.0)
+            xy = (p01 * p10, p00 * p11)
+            self._row = _float_row
             self._combine = operator.mul
             self._reduce = lambda terms: _finite_sum(terms, n)
         else:
+            powers = _log_powers
+            xy = (p01 + p10, p00 + p11)
             # lf[i] = log i!; row entries subtract in log_binomial's order.
             lf = [math.lgamma(i + 1) for i in range(n)]
-            build_row = lambda m, length: list(  # noqa: E731
+            self._row = lambda m, length: list(
                 map(
                     operator.sub,
                     map(operator.sub, repeat(lf[m], length), lf),
                     reversed(lf[m + 1 - length : m + 1]),
                 )
             )
-            self._pows = [[0.0] + [e * b for e in range(1, n + 1)] for b in bases]
             self._combine = operator.add
             self._reduce = _log_sum_exp
-        # Neither builder refers to self, so the evaluator makes no reference cycle.
-        self._row = functools.lru_cache(maxsize=2)(build_row)
+        self._pows = [powers(b, n) for b in bases]
+        self._xy_pows = [powers(b, n // 2) for b in xy]
 
     def _pair(self, ks: tuple[int, ...]) -> list[tuple]:
         """The four interior sums of each k in ``ks``, in the order of
@@ -309,75 +309,45 @@ class _Evaluator:
         values, or EXACT integer numerators over d0**a * d1**b.
 
         ``ks`` is one interior k, or the pair (m, n-m) with 0 < m < n/2.
-        FLOAT and LOGSPACE form each branch's terms from rows m-1 and n-m-1
-        (see ``_joined_sums``).  EXACT mode forms the three pair sums T_A,
-        T_B and T_C of m = min(k, n-k) once and derives every branch from
-        them, as the module docstring says.
+        The three pair sums T_A, T_B and T_C of m = min(k, n-k) are formed
+        once, by ``_pair_sum`` in EXACT mode and by ``_sliced_sum`` from
+        rows m-1 and n-m-1 otherwise, and every branch is derived from them,
+        as the module docstring says.
         """
         n = self.n
         m = min(ks[0], n - ks[0])
-        if self.mode is not NumericMode.EXACT:
-            return self._joined_sums(ks, m)
         c1, c2, c3 = [_branch_limit(o1, o2, m, n) for o1, o2 in _LIMIT_OFFSETS]
         self.terms_evaluated += c1 + c2 + c3
-        a, b = m - 1, n - m - 1
-        t_a = self._pair_sum(a, b, c1, 0, 0)
-        t_b = self._pair_sum(a, b, c2, 1, 0)
-        t_c = self._pair_sum(a, b, c3, 0, 1)
+        if self.mode is NumericMode.EXACT:
+            pair_sum, a, b = self._pair_sum, m - 1, n - m - 1
+        else:
+            pair_sum = self._sliced_sum
+            a, b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
+        t_a, t_b, t_c = pair_sum(a, b, c1, 0, 0), pair_sum(a, b, c2, 1, 0), pair_sum(a, b, c3, 0, 1)
+        op = self._combine
         pow00, pow01, pow10, pow11 = self._pows
         sums = []
         for k in ks:
-            # At k = n-m the powers of P00 and P11 trade places, and T_B and
+            # At k = n-m the powers of p00 and p11 trade places, and T_B and
             # T_C trade the two branches that end where they start.
             q0, q1 = (pow00, pow11) if k == m else (pow11, pow00)
-            cross = q0[n - 2 * m] * t_a
-            short = q0[n - 2 * m + 1] * t_b
-            long = q0[n - m - 1 - c3] * q1[m - c3] * t_c
+            cross = op(q0[n - 2 * m], t_a)
+            short = op(q0[n - 2 * m + 1], t_b)
+            long = op(op(q0[n - m - 1 - c3], q1[m - c3]), t_c)
             same1, same0 = (short, long) if k == m else (long, short)
-            sums.append((pow10[1] * cross, same1, pow01[1] * cross, same0))
+            sums.append((op(pow10[1], cross), same1, op(pow01[1], cross), same0))
         return sums
 
-    def _joined_sums(self, ks: tuple[int, ...], m: int) -> list[tuple]:
-        """FLOAT and LOGSPACE ``_pair``: each branch reduces its nonzero
-        terms j = 1..hi, hi its summation limit (c1, c2 or c3).
-
-        Term j of a branch of k joins C(k-1, j+o1), C(n-k-1, j+o2) and four
-        powers with the mode's operator in the order
-        ((((row1 . row2) . p11) . p10) . p01) . p00, each factor read from a
-        slice.  The operator commutes, so the first join of k = n-m with
-        binomial offsets (o1, o2) is that of k = m with (o2, o1): the pair
-        forms three first joins, one per limit of k = m.  Branches of one k
-        with the same offsets o1, o2 and o11, S1->S0 and S0->S1, also share
-        the join with p11.  Those reads need row m-1 whole (m entries) and
-        row n-m-1 only to index m (m+1 entries).
-        """
-        n = self.n
-        op, reduce = self._combine, self._reduce
-        pow00, pow01, pow10, pow11 = self._pows
-        row_a, row_b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
-        first = {}
-        for o1, o2 in _LIMIT_OFFSETS:
-            hi = _branch_limit(o1, o2, m, n)
-            first[o1, o2] = list(map(op, row_a[1 + o1 : hi + 1 + o1], row_b[1 + o2 : hi + 1 + o2]))
-        sums = []
-        for k in ks:
-            joined = {}
-            branch_sums = []
-            for o1, o2, o00, o01, o10, o11 in _OFFSETS.values():
-                terms = joined.get((o1, o2, o11))
-                if terms is None:
-                    base = first[(o1, o2) if k == m else (o2, o1)]
-                    # Exponents of p11 and p00 fall as j rises, so those runs are read reversed.
-                    p11 = reversed(pow11[k - len(base) + o11 : k + o11])
-                    terms = joined[o1, o2, o11] = list(map(op, base, p11))
-                hi = len(terms)
-                joins = map(op, terms, pow10[1 + o10 : hi + 1 + o10])
-                joins = map(op, joins, pow01[1 + o01 : hi + 1 + o01])
-                joins = map(op, joins, reversed(pow00[n - k - hi + o00 : n - k + o00]))
-                branch_sums.append(reduce(list(joins)))
-                self.terms_evaluated += hi
-            sums.append(tuple(branch_sums))
-        return sums
+    def _sliced_sum(self, row_a: list, row_b: list, c: int, d1: int, d2: int):
+        """FLOAT or LOGSPACE sum over i = 0..c-1 of C(a, i+d1) * C(b, i+d2) *
+        X**(i+d1+d2) * Y**(c-1-i), joined from slices of binomial rows a and
+        b and the power tables in that order and reduced by the mode."""
+        op = self._combine
+        x_pows, y_pows = self._xy_pows
+        d = d1 + d2
+        terms = map(op, row_a[d1 : c + d1], row_b[d2 : c + d2])
+        terms = map(op, terms, x_pows[d : c + d])
+        return self._reduce(list(map(op, terms, reversed(y_pows[:c]))))
 
     def _pair_sum(self, a: int, b: int, c: int, d1: int, d2: int) -> int:
         """Sum over j = 1..c of C(a, j-1+d1) * C(b, j-1+d2) * Y**(c-j) *
@@ -457,24 +427,28 @@ class _Evaluator:
 
 
 # Smallest horizon whose distribution is split over two processes
-# (visitprob.split).  On a 2-core VM the split saves 10-40 % from N = 150
-# when the second core is idle, but when that core is busy the fork and a
-# child that starts 2-6 ms late cost up to 25 % at N = 200-400.  From
-# N = 400 on it saves about 40 % with the core idle and costs about 10 %
-# with it busy.  Exact mode, summing each pair once, measured the same way
-# (serial -> split, medians of 7, chains 3/10, 2/5, 1/2 and 13/97, 41/89,
-# 29/83): N = 200 0.011-0.020 s on both sides, the split 4 % slower to 12 %
-# faster; N = 400 0.052-0.054 -> 0.037 s and 0.090 -> 0.066 s.
+# (visitprob.split).  On a 2-core VM, when the second core is busy, the fork
+# and a child that starts 2-6 ms late cost up to 25 % at N = 200-400 and
+# about 10 % from N = 400 on.  With it idle, serial -> split, medians of 7
+# (EXACT) or 15 (FLOAT and LOGSPACE, two runs), chains 3/10, 2/5, 1/2 and
+# 13/97, 41/89, 29/83:
+#   EXACT     N = 200   0.011-0.020 s both sides, 4 % slower to 12 % faster
+#             N = 400   0.052-0.054 -> 0.037 s and 0.090 -> 0.066 s
+#   FLOAT     N = 200   0.007-0.013 s both sides, 12 % slower to 24 % faster
+#             N = 400   0.024-0.028 -> 0.017-0.023 s
+#             N = 1000  0.13-0.17 -> 0.085-0.099 s
+#   LOGSPACE  N = 200   0.009-0.015 s both sides, 26 % slower to 9 % faster
+#             N = 400   0.036-0.043 -> 0.024-0.032 s
+#             N = 1000  0.13-0.18 -> 0.092-0.114 s
 _SPLIT_MIN_HORIZON = 400
 
 
 def _pair_masses(ev: _Evaluator, ms: range, target: State) -> dict[int, ProbValue]:
     """{k: P(target = k)} for k = m and k = n-m, for each m <= n/2 in ``ms``.
 
-    One ``_Evaluator._pair`` call serves both masses of an interior pair: in
-    EXACT mode they share its three pair sums, and in FLOAT and LOGSPACE the
-    three joins of binomial rows m-1 and n-m-1.  m = 0 gives the
-    boundary masses k = 0 and k = n.
+    One ``_Evaluator._pair`` call serves both masses of an interior pair:
+    they share its three pair sums.  m = 0 gives the boundary masses k = 0
+    and k = n.
     """
     n = ev.n
     masses = {}
@@ -512,10 +486,10 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
     """The full vector P(target = k | N) for k = 0..N.
 
     One evaluator serves every k: its power tables and, in FLOAT and
-    LOGSPACE, the binomial rows of the current pair (k, N-k).  In EXACT mode
-    each pair's masses come from its three pair sums, and each interior k
+    LOGSPACE, the binomial rows of the current pair (k, N-k).  Each pair's
+    masses come from its three pair sums; in EXACT mode each interior k
     builds one ``Fraction`` from an integer numerator over
-    w * d0**(N-k) * d1**k; k = 0 and k = N are single powers of p00 or p11
+    w * d0**(N-k) * d1**k.  k = 0 and k = N are single powers of p00 or p11
     weighted by p0 or p1.
     """
     ev = _Evaluator(chain, n)

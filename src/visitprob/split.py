@@ -43,10 +43,10 @@ def split_masses(ev, target: State) -> dict[int, ProbValue]:
     """{k: P(target = k)} for k = 0..n from the closed-form evaluator ``ev``,
     the pairs (m, n-m) with odd m computed by one forked child.
 
-    Pair m has about 8 * m terms in FLOAT and LOGSPACE, where it also builds
-    2 * m + 1 binomial-row entries, and 3 * m in EXACT mode, so alternate
-    pairs give both processes, to within 8 terms and 2 row entries per pair,
-    half of the work.  The child sends its ``{k: payload}``
+    Pair m has about 3 * m terms in every mode, and in FLOAT and LOGSPACE
+    it also builds 2 * m + 1 binomial-row entries, so alternate pairs give
+    both processes, to within 3 terms and 2 row entries per pair, half of
+    the work.  The child sends its ``{k: payload}``
     through a pipe with ``marshal``.  If it fails or dies, this process
     computes its share too, so the caller sees the serial pair loop's result
     or exception; if this process raises, the child is killed and reaped.

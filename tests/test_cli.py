@@ -174,15 +174,17 @@ class TestSimulateCommand:
         assert out1 == out2
 
     def test_output_matches_frozen_digest(self, capsys):
-        """The stdout bytes of one fixed run, frozen when the simulator ran
-        one trajectory at a time."""
+        """The stdout bytes of one fixed run.  Its counts and frequencies
+        were frozen when the simulator ran one trajectory at a time; its
+        float reference column and total variation follow the closed form's
+        float bits."""
         code, out, _ = run_cli(
             capsys, "simulate", *GENERIC, "--n", "40", "--trials", "5000",
             "--seed", "18446744073709551615", "--format", "json",
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "36636e4c8a71f3184b96cced3b65296adcba5a3a0abbd911e201e615a5b2c9c2"
+            "be47c8aead3a8dfbdeb3aef4bfc4e6d4d5fc157b4f2d41da638abdc839997ce6"
         )
 
     def test_deterministic_chain_matches_closed_form(self, capsys):
@@ -262,30 +264,20 @@ class TestValidateCommand:
 def test_term_count_is_the_evaluators_count(mode, n):
     """``diagnostics.terms`` is the closed form's count of the interior terms
     behind one probability, 2c1 + c2 + c3; a boundary k has none and is
-    reported as 1.  FLOAT and LOGSPACE evaluate exactly those terms for each
-    k.  EXACT mode evaluates the pair (m, n-m) at once: its S1->S0 and S0->S1
-    branches share one sum of c1 terms, formed once for both masses, so the
-    pair evaluates the count of either mass less c1."""
+    reported as 1.  Every mode evaluates the pair (m, n-m) at once from three
+    pair sums: the S1->S0 and S0->S1 branches share one sum of c1 terms,
+    formed once for both masses, so the pair evaluates the count of either
+    mass less c1."""
     ev = _Evaluator(build_chain("3/10", "2/5", "1/2", mode), n)
-    if mode is NumericMode.EXACT:
-        for m in range(n // 2 + 1):
-            before = ev.terms_evaluated
-            _pair_masses(ev, range(m, m + 1), State.S1)
-            evaluated = ev.terms_evaluated - before
-            if m == 0:
-                assert (cli._term_count(0, n), cli._term_count(n, n), evaluated) == (1, 1, 0)
-            else:
-                shared = summation_limits(m, n).c1
-                assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
-        return
-    for k in range(n + 1):
+    for m in range(n // 2 + 1):
         before = ev.terms_evaluated
-        ev.visit_probability(k, State.S1)
+        _pair_masses(ev, range(m, m + 1), State.S1)
         evaluated = ev.terms_evaluated - before
-        if 0 < k < n:
-            assert cli._term_count(k, n) == evaluated
+        if m == 0:
+            assert (cli._term_count(0, n), cli._term_count(n, n), evaluated) == (1, 1, 0)
         else:
-            assert (cli._term_count(k, n), evaluated) == (1, 0)
+            shared = summation_limits(m, n).c1
+            assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
 
 
 class TestTextOutput:
@@ -354,8 +346,8 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
-# sha256 of `dist --n 1000` stdout for the GENERIC chain, pinned while every
-# distribution was still computed in one process.  Large distributions
+# sha256 of `dist --n 1000` stdout for the GENERIC chain (default logspace,
+# and float), each equal to the one-process loop's.  Large distributions
 # fork a child; these runs write to a pipe with PYTHONUNBUFFERED unset, so
 # stdout is block-buffered and a child that flushed its copy of the buffer
 # would print the text twice.
@@ -363,12 +355,12 @@ LARGE_DIST_RUNS = [
     (
         [],
         "P(N1 = k | N = 1000)",
-        "e68ab5a05c0c24540555646477a908e629f3b39ec78910611a89942f726a3c23",
+        "0199ca103f2e7ce669692ba01a0cbe78f9055553a63490eb875cff1d6fda142a",
     ),
     (
         ["--mode", "float", "--format", "json"],
         '"schema_version"',
-        "585f5654fb382e2c332d72e980954d113d13351b4819152e8f8a6f316a53d7c7",
+        "6e59add48644320561a47679ed354dc67860303543aa16cd583b8fa0add823c1",
     ),
 ]
 

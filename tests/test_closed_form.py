@@ -1,7 +1,7 @@
+import functools
 import hashlib
 import marshal
 import math
-import operator
 import os
 import signal
 import subprocess
@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +24,6 @@ from visitprob.closed_form import (
     _OFFSETS,
     _SPLIT_MIN_HORIZON,
     FLOAT_MAX_HORIZON,
-    _branch_limit,
     _Evaluator,
     moments,
     prob_given_start_s0,
@@ -66,31 +66,31 @@ MASS_DIGESTS = {
     ("exact", "generic", "S1"): "35e2abc76eff7572896287342fb89c38c893fc9b6c1cf56711b85af882b7fe61",
     ("exact", "skewed", "S0"): "c322d7080f75d93206d1de8e83059b07b953b2f39ac41e9950fa6cdb9a090469",
     ("exact", "skewed", "S1"): "10826d4ae08f78811197d10f535d491ff154202cda0ecefae7f583f2feafe3f0",
-    ("float", "generic", "S0"): "dc0821046656cec024adfafbb4df15dd494616ae96d9e77e0faea0a4026b1ef2",
-    ("float", "generic", "S1"): "872055a0a73e8e3a7d4cd07ac682f7151f8cecb7048a21d5e76049a30df76a08",
-    ("float", "skewed", "S0"): "ad02d7e1cf46fadfb3d2149f31b1eef8e001513d90aa1003eb2ae4056dcd94b7",
-    ("float", "skewed", "S1"): "d277f09a3861d20d4e8323ac4b83dbae938ea59d3442b249dc34332a034c0221",
-    ("logspace", "generic", "S0"): "668838eeed13b5425d280f527610da19562bfcd79e11c7256ada14a4b2a60cf9",
-    ("logspace", "generic", "S1"): "16e9db537db1e7474ab90c88280f3376c3c23557e221be85dec0c71f06930888",
-    ("logspace", "skewed", "S0"): "1315432a7b0fbea9c8b96e1e2d69be34861e0f31a438d249b45b6b1edaaa84be",
-    ("logspace", "skewed", "S1"): "5023057fb3e752e28457ada619e3fe80a27c0c9cd5975ac0b6ad4d1234a2ce7e",
+    ("float", "generic", "S0"): "08a656bc41f69e98606edbe38a7930f8392d1d3ca2c746bded55e3ac1d69399a",
+    ("float", "generic", "S1"): "e3bca8cc42d07365c26b28e7dc113ab286c2188f463681ea8a7f6699f339a593",
+    ("float", "skewed", "S0"): "feab4edfbac37d743c5325521f294757f679653eacae640e29739e402ca4398a",
+    ("float", "skewed", "S1"): "b7a225d1ee19cd37f8fff1e3da18d231dc774ebe581dce717b818c380cb5d7b0",
+    ("logspace", "generic", "S0"): "482be125646abdf065f153a9a0a312514988feda3c1129c523f475cdb144e0ef",
+    ("logspace", "generic", "S1"): "53fe971a63ada9ff993e0d81fa5e99001c387853a102c4a8f6eaa5a31332daca",
+    ("logspace", "skewed", "S0"): "b581a87619dff6002a4c079618526b7505ac291ae5154e2251880dff57d95093",
+    ("logspace", "skewed", "S1"): "fcd0a5262200ed1d80d0baed41007c08146d33d4239a9e1ff140b3f3e128680d",
     ("exact", "generic", "S0", "200"): "8e0908f31bf795a29437e06fc4ba42b502f21fd6f47e63c3b8e28b768fa2ba84",
     ("exact", "generic", "S1", "200"): "2e53e43fd8b5d667ce249ca360f0932c23c77920b02aac69251bc3608c78d534",
     ("exact", "skewed", "S0", "200"): "c67b0a21925a7454e13712470dac2f6631451ba6f68438ad539a3a77d3e2ed9b",
     ("exact", "skewed", "S1", "200"): "2c11563aeace30523102702d52fc2fcbb39979d7d0cd2a52d315ea13f6fcc308",
-    ("float", "generic", "S1", "1000"): "b9d62d279caeef3f95e8df944355a6145ccc4e0f97777c03fa1bd3cd813549f5",
-    ("float", "skewed", "S1", "1000"): "ed08768cdbf87fc7102aa11548bc4ed3da9433e3236fc07dd9978df46f135696",
-    ("logspace", "generic", "S1", "1000"): "33812720d8613af21c7e081a0e10e1d4b0803fb64b54b3ca1f0f7c36860b3d53",
-    ("logspace", "skewed", "S1", "1000"): "fdd8b658627082f13d26c840871d9d9a4d9b5c922bfe34134a5c23a7b2c5bca6",
+    ("float", "generic", "S1", "1000"): "18feb60a8d2f27b30901e8ba4fc575a4714ebf2d8b379a9af19bac49cba15b31",
+    ("float", "skewed", "S1", "1000"): "b7772dbbc6e78cd339f118076bf7122fbafc183924eb8e110cfe1c5e64ec2488",
+    ("logspace", "generic", "S1", "1000"): "7b6d3b8bcf1582e0225b19d0c2034f76483fe118ceb64d6f97d3b5de69324b2b",
+    ("logspace", "skewed", "S1", "1000"): "486f205f5590bf7f97e1cf79ee8f703b50eb32f88174d595b1d571c08fe9b336",
     ("float", "flip", "S1", "1035"): "66cfb45714e9d993f08cfd8b32c1b108cd886ec50ed92be562dccdc2e59f23ac",
     ("float", "absorbing", "S1", "1035"): "04dd6b35c006fe34238e95b6a7f9acb13f61e39ec9232e4fcf06784a9cba9a75",
 }
-# Logspace at N = 2000, past FLOAT_MAX_HORIZON, where each branch's terms span
-# thousands of nats and log-sum-exp sums a narrow window of them.  Target S1;
-# pinned before the window was introduced.
+# Logspace at N = 2000, past FLOAT_MAX_HORIZON, where each pair sum's terms
+# span thousands of nats and log-sum-exp sums a narrow window of them.
+# Target S1.
 LOGSPACE_N2000_DIGESTS = {
-    "generic": "cac3ff0c4783718927371c43373efb8118660f9d43c96b4b1eb8819347bb0f23",
-    "skewed": "cbcb5a61302b06d41feddae3fa3b2810e4b35079e1a710d853d0e0d91b3b18b2",
+    "generic": "61cfc64735438f8fe7c958b327acf8e92c485bc204bd2bde96ec014085f14373",
+    "skewed": "56c8f2d459262f530a104f54a5c94a246c05938e243399b5d293e74bd8a76b43",
 }
 MASS_DIGEST_HORIZON = {"exact": 120, "float": 300, "logspace": 300}
 MASS_DIGEST_CHAINS = {
@@ -118,14 +118,14 @@ def reference_row(mode, m):
 
 
 def reference_interior_terms(ev, start, final, k):
-    """The per-j loop the slice pipeline replaced, run to j = n: term j of
-    one branch, skipping j past either binomial row (the zero-extended
-    binomials).  It builds whole rows itself; in EXACT mode the factors, the
-    evaluator's numerator powers among them, are multiplied."""
+    """The per-j loop of one branch, run to j = n: term j of one branch,
+    skipping j past either binomial row (the zero-extended binomials).  It
+    builds whole rows itself; in EXACT mode the factors, the evaluator's
+    numerator powers among them, are multiplied."""
     n = ev.n
     o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
     row1, row2 = reference_row(ev.mode, k - 1), reference_row(ev.mode, n - k - 1)
-    op = operator.mul if ev.mode is NumericMode.EXACT else ev._combine
+    op = ev._combine
     pow00, pow01, pow10, pow11 = ev._pows
     out = []
     for j in range(1, n + 1):
@@ -136,6 +136,49 @@ def reference_interior_terms(ev, start, final, k):
         term = op(op(term, pow11[k - j + o11]), pow10[j + o10])
         out.append(op(op(term, pow01[j + o01]), pow00[n - k - j + o00]))
     return out
+
+
+def reference_pair(ev, k):
+    """FLOAT or LOGSPACE branch values of interior k, term by term: the
+    three pair sums of m = min(k, n-k) over whole rows, each term joining
+    C(a, i+d1), C(b, i+d2), X**(i+d1+d2) and Y**(c-1-i) in that order, then
+    the factors of the module docstring.  Every power is taken here, by
+    running product or as e * log."""
+    n, mode, op = ev.n, ev.mode, ev._combine
+    m = min(k, n - k)
+    chain = ev.chain
+    p00, p01, p10, p11 = (p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11))
+    if mode is NumericMode.FLOAT:
+        x, y = p01 * p10, p00 * p11
+
+        def power(base, e):
+            value = 1.0
+            for _ in range(e):
+                value *= base
+            return value
+    else:
+        x, y = p01 + p10, p00 + p11
+
+        def power(base, e):
+            return 0.0 if e == 0 else e * base
+
+    row_a, row_b = reference_row(mode, m - 1), reference_row(mode, n - m - 1)
+
+    def pair_sum(c, d1, d2):
+        terms = []
+        for i in range(c):
+            term = op(row_a[i + d1], row_b[i + d2])
+            terms.append(op(op(term, power(x, i + d1 + d2)), power(y, c - 1 - i)))
+        return ev._reduce(terms)
+
+    c1, c2, c3 = astuple(summation_limits(m, n))
+    t_a, t_b, t_c = pair_sum(c1, 0, 0), pair_sum(c2, 1, 0), pair_sum(c3, 0, 1)
+    q0, q1 = (p00, p11) if k == m else (p11, p00)
+    cross = op(power(q0, n - 2 * m), t_a)
+    short = op(power(q0, n - 2 * m + 1), t_b)
+    long = op(op(power(q0, n - m - 1 - c3), power(q1, m - c3)), t_c)
+    same1, same0 = (short, long) if k == m else (long, short)
+    return op(power(p10, 1), cross), same1, op(power(p01, 1), cross), same0
 
 
 def reference_exact_mass(ev, k, target):
@@ -364,6 +407,68 @@ class TestVisitDistribution:
         ]
 
 
+# Chains for the N = 1000 accuracy tests: GENERIC and SKEWED, X = p01*p10
+# far below Y = p00*p11, X = Y, and X = 0 and Y = 0 (p01 = 0 and p01 = 1).
+ACCURACY_CHAINS = {
+    "generic": GENERIC,
+    "skewed": SKEWED,
+    "small-x": ("1/1000", "1/999", "1/2"),
+    "x-equals-y": ("1/1000", "999/1000", "1/2"),
+    "p01-zero": (0, "2/5", "1/2"),
+    "p01-one": (1, "2/5", "1/2"),
+}
+# Smallest exact mass whose FLOAT value is checked: nearer the subnormal
+# range (below 2.2e-308) a mass's factors lose digits to gradual underflow.
+FLOAT_CHECKED_FROM = Fraction(1, 10**290)
+
+
+@functools.cache
+def exact_n1000(chain_name):
+    """The exact N = 1000 masses of an ACCURACY_CHAINS chain, computed once
+    for both modes' tests."""
+    chain = build_chain(*ACCURACY_CHAINS[chain_name])
+    return [m.value for m in visit_distribution(1000, State.S1, chain).mass]
+
+
+def exact_log(value):
+    """log of a nonnegative Fraction to about one ulp, for values far outside
+    the double range: the log of a mantissa in [1/2, 2] plus e * log 2."""
+    if value == 0:
+        return -math.inf
+    e = value.numerator.bit_length() - value.denominator.bit_length()
+    mantissa = (value.numerator << max(-e, 0)) / (value.denominator << max(e, 0))
+    return math.log(mantissa) + e * math.log(2)
+
+
+class TestLargeHorizonAccuracy:
+    """FLOAT and LOGSPACE against the exact masses at N = 1000, where each
+    pair sum has up to 500 terms.  Before the pair sums replaced eight branch
+    sums per pair, the largest errors on these chains were 6.3e-14 relative
+    (FLOAT, masses from FLOAT_CHECKED_FROM on) and 2.2e-12 in log
+    (LOGSPACE); after it, 6.3e-14 and 2.7e-12.  Exact zeros stay 0.0 and
+    -inf.  The X = Y chain is left out of FLOAT: there intermediate powers
+    of p11 = 1/1000 underflow, and 53 masses from 1e-290 up to 4.2e-176 are
+    off by more than 1e-9 relative, as they were before."""
+
+    @pytest.mark.parametrize("chain_name", list(ACCURACY_CHAINS))
+    def test_logspace_within_1e_11_in_log(self, chain_name):
+        chain = build_chain(*ACCURACY_CHAINS[chain_name], NumericMode.LOGSPACE)
+        logd = visit_distribution(1000, State.S1, chain)
+        for k, (e, l) in enumerate(zip(exact_n1000(chain_name), logd.mass)):
+            want = exact_log(e)
+            assert l.value == want or abs(l.value - want) <= 1e-11, k
+
+    @pytest.mark.parametrize("chain_name", [c for c in ACCURACY_CHAINS if c != "x-equals-y"])
+    def test_float_within_1e_12_relative(self, chain_name):
+        chain = build_chain(*ACCURACY_CHAINS[chain_name], NumericMode.FLOAT)
+        floats = visit_distribution(1000, State.S1, chain)
+        for k, (e, f) in enumerate(zip(exact_n1000(chain_name), floats.mass)):
+            if e == 0:
+                assert f.value == 0.0, k
+            elif e >= FLOAT_CHECKED_FROM:
+                assert abs(Fraction(f.value) / e - 1) <= 1e-12, k
+
+
 class TestSymmetries:
     @settings(max_examples=30, deadline=None)
     @given(chains, st.integers(min_value=1, max_value=10))
@@ -380,15 +485,6 @@ class TestSymmetries:
         swapped_s1 = visit_distribution(n, State.S1, swap_labels(chain))
         for k in range(n + 1):
             assert s0.mass[k].value == swapped_s1.mass[k].value
-
-
-# The summation limit of each interior branch, named as in summation_limits.
-BRANCH_LIMIT = {
-    (State.S1, State.S0): "c1",
-    (State.S1, State.S1): "c2",
-    (State.S0, State.S1): "c1",
-    (State.S0, State.S0): "c3",
-}
 
 
 def assert_exact_branches_match_reference(ev):
@@ -411,30 +507,39 @@ def assert_exact_branches_match_reference(ev):
             assert ev._pair((k,)) == [sums]
 
 
+# How far a branch value from the pair sums may lie from the reduction of
+# the branch's own terms at N <= 41: relative in FLOAT, absolute in log in
+# LOGSPACE.  The two orders round each term's factors and the sum apart; on
+# the GENERIC and SKEWED chains at N = 2, 3, 9, 40 and 41 they differed by
+# at most 6.1e-16 relative (FLOAT) and 5.3e-15 in log (LOGSPACE).
+BRANCH_TOLERANCE = {
+    NumericMode.FLOAT: {"rel_tol": 1e-14},
+    NumericMode.LOGSPACE: {"rel_tol": 0.0, "abs_tol": 1e-13},
+}
+
+
 class TestInteriorTerms:
     @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
     def test_pipeline_matches_reference_loop(self, mode, n):
-        """The limits are redundant: the reference runs every branch to
-        j = n and skips only zero binomials, yet the pipeline, bounded by
-        ``_branch_limit``, forms the same terms, c1, c2 or c3 of them, whether
-        k is evaluated with its mirror n-k (sharing their joins) or alone.
-        With ``list`` as the reduction, ``_pair`` returns each branch's terms."""
+        """``_pair`` gives the bits of the per-term loop over the three pair
+        sums and their factors, whether k is evaluated with its mirror n-k
+        or alone, and forms c1 + c2 + c3 terms per pair.  Each branch value
+        is also within BRANCH_TOLERANCE of the reduction of that branch's
+        own terms, the per-j loop the pair sums fold together."""
         ev = _Evaluator(build_chain(*SKEWED, mode), n)
-        ev._reduce = list
         for m in range(1, n // 2 + 1):
             ks = (m, n - m) if 2 * m < n else (m,)
             before = ev.terms_evaluated
             pair = ev._pair(ks)
-            formed = ev.terms_evaluated - before
-            for k, branches in zip(ks, pair):
-                assert ev._pair((k,)) == [branches]
-                for (start, final), terms in zip(_OFFSETS, branches):
-                    expected = reference_interior_terms(ev, start, final, k)
-                    assert terms == expected
-                    limit = getattr(summation_limits(k, n), BRANCH_LIMIT[start, final])
-                    assert len(expected) == _branch_limit(*_OFFSETS[start, final][:2], k, n) == limit
-            assert formed == sum(len(terms) for branches in pair for terms in branches)
+            limits = summation_limits(m, n)
+            assert ev.terms_evaluated - before == limits.c1 + limits.c2 + limits.c3
+            for k, sums in zip(ks, pair):
+                assert sums == reference_pair(ev, k)
+                assert ev._pair((k,)) == [sums]
+                for branch, value in zip(_OFFSETS, sums):
+                    branch_sum = ev._reduce(reference_interior_terms(ev, *branch, k))
+                    assert math.isclose(value, branch_sum, **BRANCH_TOLERANCE[mode]), branch
 
     @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
     @pytest.mark.parametrize("n", [2, 3, 9, 40, 41])
