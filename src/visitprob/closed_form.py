@@ -76,17 +76,20 @@ every term after the first is 0.
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
 
-Every P(N1 = k | N) reads only the shared power tables and, in FLOAT and
-LOGSPACE, binomial rows k-1 and N-k-1, which only P(N1 = N-k | N) also
-reads.  So a distribution is evaluated by pairs (m, N-m), and the evaluator
-keeps just the two rows (or row prefixes) of the current pair: memory grows
-linearly in N.
+Every mode assembles an interior mass from raw payloads (EXACT numerators,
+FLOAT doubles, LOGSPACE logs) by the same steps with its own constants,
+product and sum, and makes one ``ProbValue`` of it.  Every such mass reads
+only the shared power tables and, in FLOAT and LOGSPACE, binomial rows k-1
+and N-k-1, which only P(N1 = N-k | N) also reads.  So a distribution is
+evaluated by pairs (m, N-m), and the evaluator keeps just the two rows (or
+row prefixes) of the current pair: memory grows linearly in N.
 From N = 400 on, ``visit_distribution`` passes its evaluator to
 :func:`visitprob.split.split_masses`, which, when a second CPU is free,
-forks one child that evaluates the pairs with odd m and sends the raw
-values back through a pipe; the result is bit-identical to the serial loop.
-It stays serial where ``os.fork`` is missing, fewer than two CPUs are
-usable, another thread is alive, or the fork fails.
+forks one child that evaluates the pairs with odd m and sends their raw
+masses back through a pipe as plain ints or floats; the result is
+bit-identical to the serial loop.  It stays serial where ``os.fork`` is
+missing, fewer than two CPUs are usable, another thread is alive, or the
+fork fails.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ from visitprob.numerics import (
     ProbValue,
     _compensated_sum,
     _is_int,
+    _log_add,
     _log_sum_exp,
     pow_prob,
     sum_values,
@@ -139,6 +143,12 @@ class SummationLimits:
     c1: int
     c2: int
     c3: int
+
+
+def _check_horizon(n: int) -> None:
+    """Reject a horizon that is not a positive integer (``bool`` included)."""
+    if not _is_int(n) or n < 1:
+        raise ParameterError(f"horizon must be a positive integer, got {n}")
 
 
 def _check_visits(k: int, n: int) -> None:
@@ -248,43 +258,50 @@ def _log_powers(log_base: float, n: int) -> list[float]:
 
 class _Evaluator:
     """Shared per-call state: powers 0..n of p00, p01, p10 and p11 (of their
-    numerators in EXACT mode) and the mode's operator applying them.  EXACT
-    mode also keeps X = P01*P10 and Y = P00*P11, the bases of its pair sums,
-    and the denominators d0 of p00/p01 and d1 of p10/p11; FLOAT and LOGSPACE
-    keep powers 0..n/2 of X = p01*p10 and Y = p00*p11, the mode's
-    binomial-row builder (row r to a given length) and its reduction of one
-    sum's terms.  ``_pair`` evaluates every interior k, alone or with its
-    mirror n-k."""
+    numerators in EXACT mode), the mode's product ``_combine`` and sum
+    ``_add`` of raw payloads, its branch scales and start weights, and its
+    pair sum ``_sum`` over two binomial rows: EXACT forms X = P01*P10 and
+    Y = P00*P11 and sums by term ratios, so its rows are their indices;
+    FLOAT and LOGSPACE keep powers 0..n/2 of X = p01*p10 and Y = p00*p11,
+    the mode's binomial-row builder and its reduction of one sum's terms.
+    ``_pair`` evaluates every interior k, alone or with its mirror n-k."""
 
     __slots__ = (
-        "chain", "n", "mode", "terms_evaluated", "_pows", "_combine", "_ratio", "_d0", "_d1",
-        "_xy_pows", "_row", "_reduce",
+        "chain", "n", "mode", "terms_evaluated", "_pows", "_combine", "_add", "_scales",
+        "_weights", "_sure", "_sum", "_ratio", "_xy_pows", "_row", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
-        if not _is_int(n) or n < 1:
-            raise ParameterError(f"horizon must be a positive integer, got {n}")
+        _check_horizon(n)
         self.chain = chain
         self.n = n
         self.mode = chain.mode
         self.terms_evaluated = 0
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
+        # _sum is a function, not a bound method, and no row builder or
+        # reduction refers to self, so the evaluator makes no reference cycle.
         if self.mode is NumericMode.EXACT:
             p00, p01, p10, p11 = (b.numerator for b in bases)
+            u, w = chain.p1.value.numerator, chain.p1.value.denominator
             self._pows = [_running_powers(1, p, n) for p in (p00, p01, p10, p11)]
-            self._combine = operator.mul
+            self._combine, self._add = operator.mul, operator.add
+            # p1 = u/w and p0 = (w-u)/w; w also weighs a sure start (conditional).
+            self._scales = (chain.p01.value.denominator, chain.p10.value.denominator)
+            self._weights, self._sure = (u, w - u), w
+            # _pair_sum forms its binomials by term ratios: a row is its index.
+            self._row, self._sum = (lambda r, length: r), _Evaluator._pair_sum
             self._ratio = (p01 * p10, p00 * p11)
-            self._d0 = chain.p01.value.denominator
-            self._d1 = chain.p10.value.denominator
             return
         p00, p01, p10, p11 = bases
-        # No row builder or reduction refers to self, so the evaluator makes no
-        # reference cycle.
+        unit = ProbValue.one(self.mode).value
+        self._scales, self._sure = (unit, unit), unit
+        self._weights = (chain.p1.value, chain.p0.value)
+        self._sum = _Evaluator._sliced_sum
         if self.mode is NumericMode.FLOAT:
             powers = functools.partial(_running_powers, 1.0)
             xy = (p01 * p10, p00 * p11)
             self._row = _float_row
-            self._combine = operator.mul
+            self._combine, self._add = operator.mul, operator.add
             self._reduce = lambda terms: _finite_sum(terms, n)
         else:
             powers = _log_powers
@@ -298,7 +315,7 @@ class _Evaluator:
                     reversed(lf[m + 1 - length : m + 1]),
                 )
             )
-            self._combine = operator.add
+            self._combine, self._add = operator.add, _log_add
             self._reduce = _log_sum_exp
         self._pows = [powers(b, n) for b in bases]
         self._xy_pows = [powers(b, n // 2) for b in xy]
@@ -310,19 +327,15 @@ class _Evaluator:
 
         ``ks`` is one interior k, or the pair (m, n-m) with 0 < m < n/2.
         The three pair sums T_A, T_B and T_C of m = min(k, n-k) are formed
-        once, by ``_pair_sum`` in EXACT mode and by ``_sliced_sum`` from
-        rows m-1 and n-m-1 otherwise, and every branch is derived from them,
-        as the module docstring says.
+        once, by the mode's ``_sum`` over rows m-1 and n-m-1, and every
+        branch is derived from them, as the module docstring says.
         """
         n = self.n
         m = min(ks[0], n - ks[0])
         c1, c2, c3 = [_branch_limit(o1, o2, m, n) for o1, o2 in _LIMIT_OFFSETS]
         self.terms_evaluated += c1 + c2 + c3
-        if self.mode is NumericMode.EXACT:
-            pair_sum, a, b = self._pair_sum, m - 1, n - m - 1
-        else:
-            pair_sum = self._sliced_sum
-            a, b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
+        pair_sum = functools.partial(self._sum, self)
+        a, b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
         t_a, t_b, t_c = pair_sum(a, b, c1, 0, 0), pair_sum(a, b, c2, 1, 0), pair_sum(a, b, c3, 0, 1)
         op = self._combine
         pow00, pow01, pow10, pow11 = self._pows
@@ -366,36 +379,32 @@ class _Evaluator:
         return total
 
     def _by_start(self, sums: tuple) -> tuple:
-        """P(k | S1) and P(k | S0) from the four interior sums of k: FLOAT or
-        LOGSPACE ``ProbValue``s, or EXACT numerators over d0**(n-k) * d1**k.
+        """Raw P(k | S1) and P(k | S0) from the four interior sums of k.
 
         A path ending in S0 makes one transition out of S0 fewer than its
         n-k visits to S0 (a = n-k-1), and a path ending in S1 one out of S1
-        fewer (b = k-1), so each EXACT sum is scaled by the missing factor.
+        fewer (b = k-1), so each EXACT sum is scaled by the missing factor,
+        d0 or d1; FLOAT and LOGSPACE scale by the unit, which is exact.
         """
         s1_s0, s1_s1, s0_s1, s0_s0 = sums
-        mode = self.mode
-        if mode is NumericMode.EXACT:
-            d0, d1 = self._d0, self._d1
-            return s1_s0 * d0 + s1_s1 * d1, s0_s0 * d0 + s0_s1 * d1
-        return (
-            ProbValue(mode, s1_s0) + ProbValue(mode, s1_s1),
-            ProbValue(mode, s0_s1) + ProbValue(mode, s0_s0),
-        )
+        add, op = self._add, self._combine
+        e0, e1 = self._scales
+        return add(op(s1_s0, e0), op(s1_s1, e1)), add(op(s0_s1, e1), op(s0_s0, e0))
 
-    def _mass(self, k: int, sums: tuple) -> ProbValue:
-        """P(N1 = k) for an interior k, from its four interior sums."""
+    def _mass(self, sums: tuple):
+        """Raw P(N1 = k) for an interior k, from its four interior sums."""
         s1, s0 = self._by_start(sums)
-        chain = self.chain
-        if self.mode is NumericMode.EXACT:
-            # p1 = u/w and p0 = (w-u)/w: one Fraction over w * d0**(n-k) * d1**k.
-            u, w = chain.p1.value.numerator, chain.p1.value.denominator
-            denominator = w * self._exact_denominator(k)
-            return ProbValue(self.mode, Fraction(u * s1 + (w - u) * s0, denominator))
-        return chain.p1 * s1 + chain.p0 * s0
+        add, op = self._add, self._combine
+        u1, u0 = self._weights
+        return add(op(u1, s1), op(u0, s0))
 
-    def _exact_denominator(self, k: int) -> int:
-        return self._d0 ** (self.n - k) * self._d1**k
+    def _prob(self, raw, k: int) -> ProbValue:
+        """The ``ProbValue`` of a raw mass of k; EXACT makes one ``Fraction``
+        (one gcd) of its numerator over w * d0**(n-k) * d1**k."""
+        if self.mode is NumericMode.EXACT:
+            d0, d1 = self._scales
+            raw = Fraction(raw, self._sure * d0 ** (self.n - k) * d1**k)
+        return ProbValue(self.mode, raw)
 
     def conditional(self, start: State, k: int) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
@@ -408,10 +417,7 @@ class _Evaluator:
                 return ProbValue.zero(self.mode)
             return pow_prob(self.chain.transition(uniform, uniform), n - 1)
         s1, s0 = self._by_start(self._pair((k,))[0])
-        value = s1 if start is State.S1 else s0
-        if self.mode is NumericMode.EXACT:
-            return ProbValue(self.mode, Fraction(value, self._exact_denominator(k)))
-        return value
+        return self._prob(self._combine(self._sure, s1 if start is State.S1 else s0), k)
 
     def visit_probability(self, k: int, target: State) -> ProbValue:
         n = self.n
@@ -421,7 +427,7 @@ class _Evaluator:
             # so k visits to S0 means n-k visits to S1.
             k = n - k
         if 0 < k < n:
-            return self._mass(k, self._pair((k,))[0])
+            return self._prob(self._mass(self._pair((k,))[0]), k)
         chain = self.chain
         return chain.p1 * self.conditional(State.S1, k) + chain.p0 * self.conditional(State.S0, k)
 
@@ -429,36 +435,32 @@ class _Evaluator:
 # Smallest horizon whose distribution is split over two processes
 # (visitprob.split).  On a 2-core VM, when the second core is busy, the fork
 # and a child that starts 2-6 ms late cost up to 25 % at N = 200-400 and
-# about 10 % from N = 400 on.  With it idle, serial -> split, medians of 7
-# (EXACT) or 15 (FLOAT and LOGSPACE, two runs), chains 3/10, 2/5, 1/2 and
-# 13/97, 41/89, 29/83:
-#   EXACT     N = 200   0.011-0.020 s both sides, 4 % slower to 12 % faster
-#             N = 400   0.052-0.054 -> 0.037 s and 0.090 -> 0.066 s
-#   FLOAT     N = 200   0.007-0.013 s both sides, 12 % slower to 24 % faster
-#             N = 400   0.024-0.028 -> 0.017-0.023 s
-#             N = 1000  0.13-0.17 -> 0.085-0.099 s
-#   LOGSPACE  N = 200   0.009-0.015 s both sides, 26 % slower to 9 % faster
-#             N = 400   0.036-0.043 -> 0.024-0.032 s
-#             N = 1000  0.13-0.18 -> 0.092-0.114 s
+# about 10 % from N = 400 on.  With it idle, serial -> split, medians of 15,
+# two or three runs, chain 3/10, 2/5, 1/2:
+#   EXACT     N = 200   0.008-0.010 -> 0.009-0.010 s
+#             N = 400   0.031-0.032 -> 0.026-0.029 s
+#             N = 1000  0.32-0.33 -> 0.19-0.22 s
+#   FLOAT     N = 200   0.006-0.008 -> 0.006-0.009 s
+#             N = 400   0.016-0.018 -> 0.013-0.016 s
+#             N = 1000  0.092-0.093 -> 0.057-0.062 s
+#   LOGSPACE  N = 200   0.007-0.011 -> 0.009-0.011 s
+#             N = 400   0.023-0.032 -> 0.017-0.021 s
+#             N = 1000  0.11-0.16 -> 0.074-0.094 s
 _SPLIT_MIN_HORIZON = 400
 
 
-def _pair_masses(ev: _Evaluator, ms: range, target: State) -> dict[int, ProbValue]:
-    """{k: P(target = k)} for k = m and k = n-m, for each m <= n/2 in ``ms``.
+def _pair_masses(ev: _Evaluator, ms: range) -> dict[int, object]:
+    """{k: raw P(N1 = k)} for k = m and k = n-m, for each 0 < m <= n/2 in
+    ``ms``, as ``_Evaluator._prob`` reads them.
 
     One ``_Evaluator._pair`` call serves both masses of an interior pair:
-    they share its three pair sums.  m = 0 gives the boundary masses k = 0
-    and k = n.
+    they share its three pair sums.
     """
     n = ev.n
     masses = {}
     for m in ms:
-        if m == 0:
-            masses.update((k, ev.visit_probability(k, target)) for k in (0, n))
-            continue
         ks = (m, n - m) if 2 * m < n else (m,)
-        for k, sums in zip(ks, ev._pair(ks)):
-            masses[k if target is State.S1 else n - k] = ev._mass(k, sums)
+        masses.update(zip(ks, map(ev._mass, ev._pair(ks))))
     return masses
 
 
@@ -487,10 +489,10 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
 
     One evaluator serves every k: its power tables and, in FLOAT and
     LOGSPACE, the binomial rows of the current pair (k, N-k).  Each pair's
-    masses come from its three pair sums; in EXACT mode each interior k
+    raw masses come from its three pair sums; in EXACT mode each interior k
     builds one ``Fraction`` from an integer numerator over
     w * d0**(N-k) * d1**k.  k = 0 and k = N are single powers of p00 or p11
-    weighted by p0 or p1.
+    weighted by p0 or p1.  Target S0 reverses the masses of S1.
     """
     ev = _Evaluator(chain, n)
     if n >= _SPLIT_MIN_HORIZON:
@@ -498,11 +500,15 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
         # it at import would raise every caller's peak memory by 0.25 MiB.
         from visitprob.split import split_masses
 
-        by_k = split_masses(ev, target)
+        raw = split_masses(ev)
     else:
-        by_k = _pair_masses(ev, range(n // 2 + 1), target)
-    mass = tuple(by_k[k] for k in range(n + 1))
-    return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=mass)
+        raw = _pair_masses(ev, range(1, n // 2 + 1))
+    mass = [ev.visit_probability(0, State.S1)]
+    mass += [ev._prob(raw[k], k) for k in range(1, n)]
+    mass.append(ev.visit_probability(n, State.S1))
+    if target is State.S0:
+        mass.reverse()  # the complement identity of visit_probability
+    return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=tuple(mass))
 
 
 def moments(dist: VisitDistribution) -> tuple[ProbValue, ProbValue]:
@@ -531,8 +537,7 @@ def term_census(k: int, n: int, initial: State, final: State) -> dict[int, TermC
     interior term.  Boundary k values yield the single uniform path or
     nothing.  Chain-independent: counts and exponents only.
     """
-    if not _is_int(n) or n < 1:
-        raise ParameterError(f"horizon must be a positive integer, got {n}")
+    _check_horizon(n)
     _check_visits(k, n)
     if k == 0:
         if initial is State.S0 and final is State.S0:

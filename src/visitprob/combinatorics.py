@@ -7,8 +7,8 @@ redundant safety rather than load-bearing.  Two tests check this:
 ``tests/test_acceptance.py::test_criterion_6_limit_redundancy`` sums every
 interior branch over j = 0..N with :func:`binomial` and matches the closed
 form bit for bit, and ``tests/test_closed_form.py::TestInteriorTerms`` runs a
-per-term loop to j = N against the float and logspace term pipeline and the
-exact ratio loop and pins each branch's term count to its limit.
+per-term loop to j = N against the branch values every mode derives from its
+three pair sums and pins each pair's term count to its limits.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from visitprob import kernels
 from visitprob.chain_model import ChainSpec, State, TransitionCounts
-from visitprob.closed_form import VisitDistribution, _check_visits
+from visitprob.closed_form import VisitDistribution, _check_horizon, _check_visits
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
 from visitprob.numerics import NumericMode, ProbValue, _is_int, _log_add, pow_prob
 
@@ -69,8 +69,7 @@ def enumeration_guard() -> int:
 
 def _check_enumerable(n: int, guard: int | None, k: int | None = None) -> None:
     """Validate the horizon, then ``k`` when given, then the guard."""
-    if not _is_int(n) or n < 1:
-        raise ParameterError(f"horizon must be a positive integer, got {n}")
+    _check_horizon(n)
     if k is not None:
         _check_visits(k, n)
     limit = guard if guard is not None else enumeration_guard()
@@ -262,8 +261,7 @@ def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResu
     runs, machines and process restarts.  Chains in any backend are
     converted to doubles first.
     """
-    if not _is_int(n) or n < 1:
-        raise ParameterError(f"horizon must be a positive integer, got {n}")
+    _check_horizon(n)
     if not _is_int(trials) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials}")
     if not _is_int(seed):

@@ -1,12 +1,15 @@
-"""Evaluate one large distribution in two processes, bit for bit.
+"""Evaluate the interior masses of one large distribution in two processes,
+bit for bit.
 
-Every P(target = k | N) of the closed form reads only the evaluator's power
-tables and, in FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, which only
-the mass N-k also reads, so the pairs (m, N-m) are independent work.
+Every interior P(N1 = k | N) of the closed form reads only the evaluator's
+power tables and, in FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, which
+only the mass N-k also reads, so the pairs (m, N-m) are independent work.
 :func:`split_masses` forks one child that evaluates half of the pairs with
-the same evaluator and sends the raw payloads back through a pipe, so each
-mass is the one the serial pair loop gives.  ``closed_form`` imports this
-module only for horizons large enough to gain from it.
+the same evaluator and sends their raw masses back through a pipe as plain
+ints or floats (integer numerators, values or logs), which the caller turns
+into ``ProbValue``s as it does its own.  So each mass is the one the serial
+pair loop gives.  ``closed_form`` imports this module only for horizons
+large enough to gain from it.
 """
 
 from __future__ import annotations
@@ -15,11 +18,8 @@ import marshal
 import os
 import signal
 import sys
-from fractions import Fraction
 
-from visitprob.chain_model import State
 from visitprob.closed_form import _pair_masses
-from visitprob.numerics import NumericMode, ProbValue
 
 __all__ = ["split_masses"]
 
@@ -39,61 +39,52 @@ def _can_split() -> bool:
     return cpus >= 2 and (threading is None or threading.active_count() == 1)
 
 
-def split_masses(ev, target: State) -> dict[int, ProbValue]:
-    """{k: P(target = k)} for k = 0..n from the closed-form evaluator ``ev``,
-    the pairs (m, n-m) with odd m computed by one forked child.
+def split_masses(ev) -> dict:
+    """{k: raw P(N1 = k)} for 0 < k < n from the closed-form evaluator
+    ``ev``, as ``closed_form._pair_masses`` gives them, the pairs (m, n-m)
+    with odd m computed by one forked child.
 
     Pair m has about 3 * m terms in every mode, and in FLOAT and LOGSPACE
     it also builds 2 * m + 1 binomial-row entries, so alternate pairs give
     both processes, to within 3 terms and 2 row entries per pair, half of
-    the work.  The child sends its ``{k: payload}``
-    through a pipe with ``marshal``.  If it fails or dies, this process
-    computes its share too, so the caller sees the serial pair loop's result
-    or exception; if this process raises, the child is killed and reaped.
-    Without a free second CPU (see :func:`_can_split`) or when the fork
-    fails, every pair is computed here.
+    the work.  The child sends its ``{k: raw}`` through a pipe with
+    ``marshal``.  If it fails or dies, this process computes its share too,
+    so the caller sees the serial pair loop's result or exception; if this
+    process raises, the child is killed and reaped.  Without a free second
+    CPU (see :func:`_can_split`) or when the fork fails, every pair is
+    computed here.
     """
-    mode = ev.mode
-    pairs = range(ev.n // 2 + 1)
+    pairs = range(1, ev.n // 2 + 1)
     if not _can_split():
-        return _pair_masses(ev, pairs, target)
+        return _pair_masses(ev, pairs)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _pair_masses(ev, pairs, target)
+        return _pair_masses(ev, pairs)
     if pid == 0:
         # os._exit, not exit: no atexit handler runs, and the stdio buffers
         # copied from the parent are never flushed a second time.
         try:
             os.close(read_fd)
-            values = {k: m.value for k, m in _pair_masses(ev, pairs[1::2], target).items()}
-            if mode is NumericMode.EXACT:
-                values = {k: (v.numerator, v.denominator) for k, v in values.items()}
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(values))
+                pipe.write(marshal.dumps(_pair_masses(ev, pairs[::2])))
             os._exit(0)
         finally:
             os._exit(1)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            masses = _pair_masses(ev, pairs[::2], target)
-            # Read to EOF before waitpid: an EXACT payload can outgrow the
-            # pipe buffer, and the child blocks until it is read.
+            masses = _pair_masses(ev, pairs[1::2])
+            # Read to EOF before waitpid: a payload of integer numerators can
+            # outgrow the pipe buffer, and the child blocks until it is read.
             payload = pipe.read()
         status = os.waitpid(pid, 0)[1]
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
-    if status == 0:
-        values = marshal.loads(payload)
-        if mode is NumericMode.EXACT:
-            values = {k: Fraction(*v) for k, v in values.items()}
-        masses.update((k, ProbValue(mode, v)) for k, v in values.items())
-    else:
-        masses.update(_pair_masses(ev, pairs[1::2], target))
+    masses.update(marshal.loads(payload) if status == 0 else _pair_masses(ev, pairs[::2]))
     return masses

@@ -269,15 +269,15 @@ def test_term_count_is_the_evaluators_count(mode, n):
     formed once for both masses, so the pair evaluates the count of either
     mass less c1."""
     ev = _Evaluator(build_chain("3/10", "2/5", "1/2", mode), n)
-    for m in range(n // 2 + 1):
+    ev.visit_probability(0, State.S1)
+    ev.visit_probability(n, State.S1)
+    assert (cli._term_count(0, n), cli._term_count(n, n), ev.terms_evaluated) == (1, 1, 0)
+    for m in range(1, n // 2 + 1):
         before = ev.terms_evaluated
-        _pair_masses(ev, range(m, m + 1), State.S1)
+        _pair_masses(ev, range(m, m + 1))
         evaluated = ev.terms_evaluated - before
-        if m == 0:
-            assert (cli._term_count(0, n), cli._term_count(n, n), evaluated) == (1, 1, 0)
-        else:
-            shared = summation_limits(m, n).c1
-            assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
+        shared = summation_limits(m, n).c1
+        assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
 
 
 class TestTextOutput:

@@ -575,6 +575,56 @@ class TestInteriorTerms:
         assert_exact_branches_match_reference(_Evaluator(chain, n))
 
 
+def reference_masses(ev, k):
+    """P(k | S1), P(k | S0) and P(N1 = k) of interior k by ``ProbValue``
+    arithmetic on ``reference_pair``'s four branch values: the branches of
+    each start added, then p1 * s1 + p0 * s0."""
+    mode, chain = ev.mode, ev.chain
+    s1_s0, s1_s1, s0_s1, s0_s0 = (ProbValue(mode, v) for v in reference_pair(ev, k))
+    s1, s0 = s1_s0 + s1_s1, s0_s1 + s0_s0
+    return s1, s0, chain.p1 * s1 + chain.p0 * s0
+
+
+def assert_assembly_matches_probvalue_arithmetic(ev):
+    """Every interior mass, for both targets, and both start conditionals
+    have the bits of ``reference_masses``."""
+    n = ev.n
+    for k in range(1, n):
+        s1, s0, mixed = reference_masses(ev, k)
+        got = (
+            ev.conditional(State.S1, k),
+            ev.conditional(State.S0, k),
+            ev.visit_probability(k, State.S1),
+            ev.visit_probability(n - k, State.S0),
+        )
+        assert [repr(v.value) for v in got] == [repr(v.value) for v in (s1, s0, mixed, mixed)]
+
+
+slice_mode_edge_chains = st.builds(
+    build_chain,
+    rational_or_edge,
+    rational_or_edge,
+    rational_or_edge,
+    st.sampled_from([NumericMode.FLOAT, NumericMode.LOGSPACE]),
+)
+
+
+class TestMassAssembly:
+    """FLOAT and LOGSPACE masses are assembled from raw doubles with the
+    mode's add and operator; the bits are those of ``ProbValue`` arithmetic."""
+
+    @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_raw_assembly_equals_probvalue_arithmetic(self, mode, n):
+        assert_assembly_matches_probvalue_arithmetic(_Evaluator(build_chain(*SKEWED, mode), n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(slice_mode_edge_chains, st.integers(min_value=2, max_value=30))
+    def test_raw_assembly_equals_probvalue_arithmetic_on_edge_chains(self, chain, n):
+        """p = 0 or 1 included: logs of -inf and 0.0, doubles of 0.0."""
+        assert_assembly_matches_probvalue_arithmetic(_Evaluator(chain, n))
+
+
 class TestExactReduction:
     @settings(max_examples=150, deadline=None)
     @given(edge_chains, st.integers(min_value=1, max_value=40), st.sampled_from(State))
