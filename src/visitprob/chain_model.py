@@ -46,6 +46,12 @@ class State(IntEnum):
         return State.S1 if self is State.S0 else State.S0
 
 
+def _check_state(value, name: str) -> None:
+    """Reject a ``State`` argument that is not one (a plain 0 or 1 among them)."""
+    if not isinstance(value, State):
+        raise ParameterError(f"{name} must be a State, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class TransitionCounts:
     """Counts of the four transition types along one trajectory."""
@@ -179,5 +185,4 @@ class VisitQuery:
             raise ParameterError(
                 f"visits_k must lie in [0, {self.horizon_n}], got {self.visits_k}"
             )
-        if not isinstance(self.target, State):
-            raise ParameterError(f"target must be a State, got {self.target!r}")
+        _check_state(self.target, "target")

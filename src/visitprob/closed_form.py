@@ -61,7 +61,7 @@ ending in S0 has a = n-k-1 and b = k, one ending in S1 a = n-k and
 b = k-1, so scaling the first by d0 and the second by d1 puts all four
 branches of one k over d0**(n-k) * d1**k.  Weighted by the numerators of p1
 and p0, they make one integer over w * d0**(n-k) * d1**k: one ``Fraction``
-(one gcd) per interior k, equal to the sum of the per-term fractions.
+(one gcd) per k, equal to the sum of the per-term fractions.
 
 Each EXACT pair sum is a terminating hypergeometric sum, summed by term
 ratios with no binomial table (Petkovsek, Wilf and Zeilberger, A = B,
@@ -76,11 +76,13 @@ every term after the first is 0.
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
 
-Every mode assembles an interior mass from raw payloads (EXACT numerators,
-FLOAT doubles, LOGSPACE logs) by the same steps with its own constants,
-product and sum, and makes one ``ProbValue`` of it.  Every such mass reads
-only the shared power tables and, in FLOAT and LOGSPACE, binomial rows k-1
-and N-k-1, which only P(N1 = N-k | N) also reads.  So a distribution is
+Every mode assembles every mass from raw payloads (EXACT numerators, FLOAT
+doubles, LOGSPACE logs) by the same steps, with its own constants and its
+``numerics.ARITHMETIC``, and makes one ``ProbValue`` of it; at k = 0 and
+k = N the conditionals are p00**(N-1) or p11**(N-1) and zero, scaled like
+a branch.  An interior mass reads only the shared power tables and, in
+FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, which only
+P(N1 = N-k | N) also reads.  So a distribution is
 evaluated by pairs (m, N-m), and the evaluator keeps just the two rows (or
 row prefixes) of the current pair: memory grows linearly in N.
 From N = 400 on, ``visit_distribution`` passes its evaluator to
@@ -101,21 +103,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery
+from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery, _check_state
 # BinomialTable and log_binomial are unused here, but perfbench/tracing.py looks
 # them up on this module.
 from visitprob.combinatorics import BinomialTable, binomial, log_binomial  # noqa: F401
 from visitprob.errors import NumericalError, ParameterError
-from visitprob.numerics import (
-    NumericMode,
-    ProbValue,
-    _compensated_sum,
-    _is_int,
-    _log_add,
-    _log_sum_exp,
-    pow_prob,
-    sum_values,
-)
+from visitprob.numerics import ARITHMETIC, NumericMode, ProbValue, _is_int, sum_values
 
 __all__ = [
     "FLOAT_MAX_HORIZON",
@@ -234,7 +227,7 @@ def _float_row(m: int, length: int) -> list[float]:
 
 def _finite_sum(terms: list[float], n: int) -> float:
     """Compensated sum of float terms; inf or NaN means a binomial product overflowed."""
-    total = _compensated_sum(terms)
+    total = ARITHMETIC[NumericMode.FLOAT].total(terms)
     if not math.isfinite(total):
         raise NumericalError(
             f"float arithmetic overflowed at horizon N={n} (float mode reaches "
@@ -243,32 +236,19 @@ def _finite_sum(terms: list[float], n: int) -> float:
     return total
 
 
-def _running_powers(one, base, n: int) -> list:
-    """base**0..n by running product (in floats, ``**`` would round differently)."""
-    powers = [one]
-    for _ in range(n):
-        powers.append(powers[-1] * base)
-    return powers
-
-
-def _log_powers(log_base: float, n: int) -> list[float]:
-    """log(base**0..n); the 0th is 0.0 even where log_base is -inf."""
-    return [0.0] + [e * log_base for e in range(1, n + 1)]
-
-
 class _Evaluator:
-    """Shared per-call state: powers 0..n of p00, p01, p10 and p11 (of their
-    numerators in EXACT mode), the mode's product ``_combine`` and sum
-    ``_add`` of raw payloads, its branch scales and start weights, and its
-    pair sum ``_sum`` over two binomial rows: EXACT forms X = P01*P10 and
-    Y = P00*P11 and sums by term ratios, so its rows are their indices;
-    FLOAT and LOGSPACE keep powers 0..n/2 of X = p01*p10 and Y = p00*p11,
-    the mode's binomial-row builder and its reduction of one sum's terms.
-    ``_pair`` evaluates every interior k, alone or with its mirror n-k."""
+    """Shared per-call state in raw payloads (numerators in EXACT mode):
+    powers 0..n of p00..p11 and 0..n/2 of X = p01*p10 and Y = p00*p11, the
+    boundary conditionals, ``_combine`` and ``_add`` from the mode's
+    ``numerics.ARITHMETIC``, its branch scales and start weights, and its
+    pair sum ``_sum`` over two binomial rows: EXACT sums by term ratios, so
+    its rows are their indices; FLOAT and LOGSPACE keep the mode's row
+    builder and reduction.  ``_pair`` evaluates every interior k, alone or
+    with its mirror n-k."""
 
     __slots__ = (
-        "chain", "n", "mode", "terms_evaluated", "_pows", "_combine", "_add", "_scales",
-        "_weights", "_sure", "_sum", "_ratio", "_xy_pows", "_row", "_reduce",
+        "chain", "n", "mode", "terms_evaluated", "_pows", "_xy_pows", "_ends", "_combine",
+        "_add", "_scales", "_weights", "_sure", "_sum", "_row", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -277,48 +257,48 @@ class _Evaluator:
         self.n = n
         self.mode = chain.mode
         self.terms_evaluated = 0
+        ar = ARITHMETIC[self.mode]
+        self._combine, self._add = ar.mul, ar.add
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
         # _sum is a function, not a bound method, and no row builder or
         # reduction refers to self, so the evaluator makes no reference cycle.
         if self.mode is NumericMode.EXACT:
-            p00, p01, p10, p11 = (b.numerator for b in bases)
+            bases = [b.numerator for b in bases]
             u, w = chain.p1.value.numerator, chain.p1.value.denominator
-            self._pows = [_running_powers(1, p, n) for p in (p00, p01, p10, p11)]
-            self._combine, self._add = operator.mul, operator.add
             # p1 = u/w and p0 = (w-u)/w; w also weighs a sure start (conditional).
             self._scales = (chain.p01.value.denominator, chain.p10.value.denominator)
             self._weights, self._sure = (u, w - u), w
             # _pair_sum forms its binomials by term ratios: a row is its index.
             self._row, self._sum = (lambda r, length: r), _Evaluator._pair_sum
-            self._ratio = (p01 * p10, p00 * p11)
-            return
-        p00, p01, p10, p11 = bases
-        unit = ProbValue.one(self.mode).value
-        self._scales, self._sure = (unit, unit), unit
-        self._weights = (chain.p1.value, chain.p0.value)
-        self._sum = _Evaluator._sliced_sum
-        if self.mode is NumericMode.FLOAT:
-            powers = functools.partial(_running_powers, 1.0)
-            xy = (p01 * p10, p00 * p11)
-            self._row = _float_row
-            self._combine, self._add = operator.mul, operator.add
-            self._reduce = lambda terms: _finite_sum(terms, n)
         else:
-            powers = _log_powers
-            xy = (p01 + p10, p00 + p11)
-            # lf[i] = log i!; row entries subtract in log_binomial's order.
-            lf = [math.lgamma(i + 1) for i in range(n)]
-            self._row = lambda m, length: list(
-                map(
-                    operator.sub,
-                    map(operator.sub, repeat(lf[m], length), lf),
-                    reversed(lf[m + 1 - length : m + 1]),
+            self._scales, self._sure = (ar.one, ar.one), ar.one
+            self._weights = (chain.p1.value, chain.p0.value)
+            self._sum = _Evaluator._sliced_sum
+            if self.mode is NumericMode.FLOAT:
+                self._row = _float_row
+                self._reduce = lambda terms: _finite_sum(terms, n)
+            else:
+                # lf[i] = log i!; row entries subtract in log_binomial's order.
+                lf = [math.lgamma(i + 1) for i in range(n)]
+                self._row = lambda m, length: list(
+                    map(
+                        operator.sub,
+                        map(operator.sub, repeat(lf[m], length), lf),
+                        reversed(lf[m + 1 - length : m + 1]),
+                    )
                 )
-            )
-            self._combine, self._add = operator.add, _log_add
-            self._reduce = _log_sum_exp
-        self._pows = [powers(b, n) for b in bases]
-        self._xy_pows = [powers(b, n // 2) for b in xy]
+                self._reduce = ar.total
+        p00, p01, p10, p11 = bases
+        self._pows = [ar.powers(b, n) for b in bases]
+        self._xy_pows = [ar.powers(b, n // 2) for b in (ar.mul(p01, p10), ar.mul(p00, p11))]
+        # Raw P(k | S1) and P(k | S0) at k = 0 and n: only the all-S0 or the
+        # all-S1 path is left, scaled like a branch that ends in S0 or S1.
+        # By power: a FLOAT table entry can differ from ** in its last bits.
+        e0, e1 = self._scales
+        self._ends = {
+            0: (ar.zero, ar.mul(ar.power(p00, n - 1), e0)),
+            n: (ar.mul(ar.power(p11, n - 1), e1), ar.zero),
+        }
 
     def _pair(self, ks: tuple[int, ...]) -> list[tuple]:
         """The four interior sums of each k in ``ks``, in the order of
@@ -368,10 +348,11 @@ class _Evaluator:
         r1 and r2 are the lower indices of the two binomials."""
         if c < 1:
             return 0
-        x, y = self._ratio
+        x_pows, y_pows = self._xy_pows
+        x, y = x_pows[1], y_pows[1]
         if not y:  # every term but the last (j = c) carries a power of Y = 0
-            return math.comb(a, c - 1 + d1) * math.comb(b, c - 1 + d2) * x ** (c - 1 + d1 + d2)
-        term = math.comb(a, d1) * math.comb(b, d2) * y ** (c - 1) * x ** (d1 + d2)
+            return math.comb(a, c - 1 + d1) * math.comb(b, c - 1 + d2) * x_pows[c - 1 + d1 + d2]
+        term = math.comb(a, d1) * math.comb(b, d2) * y_pows[c - 1] * x_pows[d1 + d2]
         total = term
         for r1, r2 in zip(range(d1, d1 + c - 1), range(d2, d2 + c - 1)):
             term = term * ((a - r1) * (b - r2) * x) // ((r1 + 1) * (r2 + 1) * y)
@@ -391,9 +372,15 @@ class _Evaluator:
         e0, e1 = self._scales
         return add(op(s1_s0, e0), op(s1_s1, e1)), add(op(s0_s1, e1), op(s0_s0, e0))
 
-    def _mass(self, sums: tuple):
-        """Raw P(N1 = k) for an interior k, from its four interior sums."""
-        s1, s0 = self._by_start(sums)
+    def _starts(self, k: int) -> tuple:
+        """Raw P(k | S1) and P(k | S0) for 0 <= k <= n."""
+        if 0 < k < self.n:
+            return self._by_start(self._pair((k,))[0])
+        return self._ends[k]
+
+    def _mass(self, starts: tuple):
+        """Raw P(N1 = k) from the raw P(k | S1) and P(k | S0)."""
+        s1, s0 = starts
         add, op = self._add, self._combine
         u1, u0 = self._weights
         return add(op(u1, s1), op(u0, s0))
@@ -408,28 +395,17 @@ class _Evaluator:
 
     def conditional(self, start: State, k: int) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
-        n = self.n
-        _check_visits(k, n)
-        if k == 0 or k == n:
-            # Every position is in one state: the all-S0 or all-S1 path.
-            uniform = State.S0 if k == 0 else State.S1
-            if start is not uniform:
-                return ProbValue.zero(self.mode)
-            return pow_prob(self.chain.transition(uniform, uniform), n - 1)
-        s1, s0 = self._by_start(self._pair((k,))[0])
+        _check_visits(k, self.n)
+        s1, s0 = self._starts(k)
         return self._prob(self._combine(self._sure, s1 if start is State.S1 else s0), k)
 
     def visit_probability(self, k: int, target: State) -> ProbValue:
-        n = self.n
-        _check_visits(k, n)
+        _check_visits(k, self.n)
         if target is State.S0:
             # Complement identity: every position is in exactly one state,
             # so k visits to S0 means n-k visits to S1.
-            k = n - k
-        if 0 < k < n:
-            return self._prob(self._mass(self._pair((k,))[0]), k)
-        chain = self.chain
-        return chain.p1 * self.conditional(State.S1, k) + chain.p0 * self.conditional(State.S0, k)
+            k = self.n - k
+        return self._prob(self._mass(self._starts(k)), k)
 
 
 # Smallest horizon whose distribution is split over two processes
@@ -460,7 +436,7 @@ def _pair_masses(ev: _Evaluator, ms: range) -> dict[int, object]:
     masses = {}
     for m in ms:
         ks = (m, n - m) if 2 * m < n else (m,)
-        masses.update(zip(ks, map(ev._mass, ev._pair(ks))))
+        masses.update(zip(ks, map(ev._mass, map(ev._by_start, ev._pair(ks)))))
     return masses
 
 
@@ -489,11 +465,13 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
 
     One evaluator serves every k: its power tables and, in FLOAT and
     LOGSPACE, the binomial rows of the current pair (k, N-k).  Each pair's
-    raw masses come from its three pair sums; in EXACT mode each interior k
-    builds one ``Fraction`` from an integer numerator over
-    w * d0**(N-k) * d1**k.  k = 0 and k = N are single powers of p00 or p11
-    weighted by p0 or p1.  Target S0 reverses the masses of S1.
+    raw masses come from its three pair sums, and those of k = 0 and k = N
+    from p00**(N-1) and p11**(N-1), through the same raw assembly; each mass
+    becomes one ``ProbValue`` (in EXACT mode one ``Fraction`` of an integer
+    numerator over w * d0**(N-k) * d1**k).  Target S0 reverses the masses
+    of S1.
     """
+    _check_state(target, "target")
     ev = _Evaluator(chain, n)
     if n >= _SPLIT_MIN_HORIZON:
         # Imported on first use: where no bytecode cache is written, compiling
@@ -503,9 +481,8 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
         raw = split_masses(ev)
     else:
         raw = _pair_masses(ev, range(1, n // 2 + 1))
-    mass = [ev.visit_probability(0, State.S1)]
-    mass += [ev._prob(raw[k], k) for k in range(1, n)]
-    mass.append(ev.visit_probability(n, State.S1))
+    raw[0], raw[n] = ev._mass(ev._starts(0)), ev._mass(ev._starts(n))
+    mass = [ev._prob(raw[k], k) for k in range(n + 1)]
     if target is State.S0:
         mass.reverse()  # the complement identity of visit_probability
     return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=tuple(mass))
@@ -539,6 +516,8 @@ def term_census(k: int, n: int, initial: State, final: State) -> dict[int, TermC
     """
     _check_horizon(n)
     _check_visits(k, n)
+    _check_state(initial, "initial")
+    _check_state(final, "final")
     if k == 0:
         if initial is State.S0 and final is State.S0:
             return {0: TermCell(1, TransitionCounts(n00=n - 1))}

@@ -17,7 +17,12 @@ nonnegative real tagged with the backend it lives in.
   the sum over every term.  This backend keeps horizons in the thousands
   representable where plain doubles underflow.
 
-The convention ``0**0 == 1`` holds in every backend: the boundary branches
+Each backend's arithmetic on raw payloads (``ProbValue.value``) is written
+once, in its :class:`Arithmetic` record ``ARITHMETIC[mode]``.  ``ProbValue``,
+:func:`pow_prob`, :func:`sum_values`, the closed-form evaluator and the
+enumeration walk read it and do not branch on the mode to compute.
+
+The convention ``0**0 == 1`` holds in every backend: the boundary masses
 of the closed form raise a possibly-zero probability to the zeroth power
 when the horizon is a single step, and the result must be one.
 
@@ -34,11 +39,14 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
+from typing import Callable
 
 from visitprob.errors import BackendMismatchError, ParameterError
 
 __all__ = [
+    "ARITHMETIC",
+    "Arithmetic",
     "NumericMode",
     "ProbValue",
     "pow_prob",
@@ -108,28 +116,18 @@ class ProbValue:
 
     @classmethod
     def zero(cls, mode: NumericMode) -> "ProbValue":
-        if mode is NumericMode.EXACT:
-            return cls(mode, Fraction(0))
-        if mode is NumericMode.FLOAT:
-            return cls(mode, 0.0)
-        return cls(mode, _NEG_INF)
+        return cls(mode, ARITHMETIC[mode].zero)
 
     @classmethod
     def one(cls, mode: NumericMode) -> "ProbValue":
-        if mode is NumericMode.EXACT:
-            return cls(mode, Fraction(1))
-        return cls(mode, 0.0 if mode is NumericMode.LOGSPACE else 1.0)
+        return cls(mode, ARITHMETIC[mode].one)
 
     @classmethod
     def from_int(cls, n: int, mode: NumericMode) -> "ProbValue":
         """Embed a nonnegative integer (used for moment weights)."""
         if n < 0:
             raise ParameterError(f"expected a nonnegative integer, got {n}")
-        if mode is NumericMode.EXACT:
-            return cls(mode, Fraction(n))
-        if mode is NumericMode.FLOAT:
-            return cls(mode, float(n))
-        return cls(mode, math.log(n) if n > 0 else _NEG_INF)
+        return convert(cls(NumericMode.EXACT, n), mode)
 
     # -- views -------------------------------------------------------------
 
@@ -148,9 +146,7 @@ class ProbValue:
         return Fraction(self.to_float())
 
     def is_zero(self) -> bool:
-        if self.mode is NumericMode.LOGSPACE:
-            return self.value == _NEG_INF
-        return self.value == 0
+        return self.value == ARITHMETIC[self.mode].zero
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -166,15 +162,11 @@ class ProbValue:
 
     def __add__(self, other: "ProbValue") -> "ProbValue":
         self._require_same_mode(other)
-        if self.mode is NumericMode.LOGSPACE:
-            return ProbValue(self.mode, _log_add(self.value, other.value))
-        return ProbValue(self.mode, self.value + other.value)
+        return ProbValue(self.mode, ARITHMETIC[self.mode].add(self.value, other.value))
 
     def __mul__(self, other: "ProbValue") -> "ProbValue":
         self._require_same_mode(other)
-        if self.mode is NumericMode.LOGSPACE:
-            return ProbValue(self.mode, self.value + other.value)
-        return ProbValue(self.mode, self.value * other.value)
+        return ProbValue(self.mode, ARITHMETIC[self.mode].mul(self.value, other.value))
 
     def __sub__(self, other: "ProbValue") -> "ProbValue":
         """Difference, clamping negative rounding residue to zero.
@@ -278,6 +270,43 @@ def _log_sum_exp(values: list[float]) -> float:
     return anchor + math.log(math.fsum(map(math.exp, map(operator.sub, values, repeat(anchor)))))
 
 
+def _running_powers(base, n: int) -> list:
+    """base**0..n by running product (in floats, ``**`` would round
+    differently); base**0 is one of base's own type."""
+    return list(accumulate(repeat(base, n), operator.mul, initial=base**0))
+
+
+@dataclass(frozen=True, slots=True)
+class Arithmetic:
+    """One backend's payloads of 0 and 1, add, multiply, ``power(x, e)`` =
+    x**e for an integer e >= 0, ``powers(b, n)`` = [b**0, ..., b**n] (in
+    FLOAT by running product, which can differ from ``**`` in the last
+    bits) and ``total``, the sum of a list."""
+
+    zero: object
+    one: object
+    add: Callable
+    mul: Callable
+    power: Callable
+    powers: Callable
+    total: Callable
+
+
+ARITHMETIC = {
+    NumericMode.EXACT: Arithmetic(
+        0, 1, operator.add, operator.mul, operator.pow, _running_powers, sum
+    ),
+    NumericMode.FLOAT: Arithmetic(
+        0.0, 1.0, operator.add, operator.mul, operator.pow, _running_powers, _compensated_sum
+    ),
+    # Logs: a product is a sum and x**e is e*x, but x**0 is 0.0 even for -inf.
+    NumericMode.LOGSPACE: Arithmetic(
+        _NEG_INF, 0.0, _log_add, operator.add, lambda x, e: 0.0 if e == 0 else e * x,
+        lambda x, n: [0.0] + [e * x for e in range(1, n + 1)], _log_sum_exp,
+    ),
+}
+
+
 def _is_int(value) -> bool:
     """True for an ``int`` that is not a ``bool``: ``True`` is a flag, not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -289,9 +318,7 @@ def pow_prob(base: ProbValue, exponent: int) -> ProbValue:
         raise ParameterError(f"exponent must be an integer, got {exponent!r}")
     if exponent < 0:
         raise ParameterError(f"exponent must be >= 0, got {exponent}")
-    if base.mode is NumericMode.LOGSPACE:
-        return ProbValue(base.mode, 0.0 if exponent == 0 else exponent * base.value)
-    return ProbValue(base.mode, base.value**exponent)
+    return ProbValue(base.mode, ARITHMETIC[base.mode].power(base.value, exponent))
 
 
 def sum_values(terms: list[ProbValue], mode: NumericMode | None = None) -> ProbValue:
@@ -311,14 +338,7 @@ def sum_values(terms: list[ProbValue], mode: NumericMode | None = None) -> ProbV
             raise BackendMismatchError(
                 f"backend mismatch in sum: {t.mode.value} vs {mode.value}"
             )
-    if mode is NumericMode.EXACT:
-        acc = Fraction(0)
-        for t in terms:
-            acc += t.value
-        return ProbValue(mode, acc)
-    if mode is NumericMode.FLOAT:
-        return ProbValue(mode, _compensated_sum([t.value for t in terms]))
-    return ProbValue(mode, _log_sum_exp([t.value for t in terms]))
+    return ProbValue(mode, ARITHMETIC[mode].total([t.value for t in terms]))
 
 
 def convert(value: ProbValue, target: NumericMode) -> ProbValue:

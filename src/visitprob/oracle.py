@@ -29,17 +29,16 @@ they contribute zero mass, and the census counts paths, not probability.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from visitprob import kernels
-from visitprob.chain_model import ChainSpec, State, TransitionCounts
+from visitprob.chain_model import ChainSpec, State, TransitionCounts, _check_state
 from visitprob.closed_form import VisitDistribution, _check_horizon, _check_visits
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
-from visitprob.numerics import NumericMode, ProbValue, _is_int, _log_add, pow_prob
+from visitprob.numerics import ARITHMETIC, NumericMode, ProbValue, _is_int, pow_prob
 
 __all__ = [
     "CensusCell",
@@ -51,7 +50,6 @@ __all__ = [
     "total_variation",
 ]
 
-_NEG_INF = float("-inf")
 _DEFAULT_GUARD = 25
 _SEED_MASK = (1 << 64) - 1
 
@@ -81,7 +79,7 @@ def _check_enumerable(n: int, guard: int | None, k: int | None = None) -> None:
 
 
 def _raw_values(chain: ChainSpec):
-    """Initial and transition payloads plus the mode's multiply.
+    """Initial and transition payloads.
 
     LOGSPACE payloads are the chain's logs.  EXACT payloads are integer
     numerators: p0 and p1 over w, moves out of S0 scaled by d1 and moves
@@ -94,7 +92,7 @@ def _raw_values(chain: ChainSpec):
             (chain.p00.value, chain.p01.value),
             (chain.p10.value, chain.p11.value),
         )
-        return init, trans, operator.add
+        return init, trans
     d0 = chain.p01.value.denominator
     d1 = chain.p10.value.denominator
     init = (chain.p0.value.numerator, chain.p1.value.numerator)
@@ -102,7 +100,7 @@ def _raw_values(chain: ChainSpec):
         (chain.p00.value.numerator * d1, chain.p01.value.numerator * d1),
         (chain.p10.value.numerator * d0, chain.p11.value.numerator * d0),
     )
-    return init, trans, operator.mul
+    return init, trans
 
 
 def oracle_distribution(
@@ -116,28 +114,21 @@ def oracle_distribution(
     :func:`visitprob.kernels.enumerate_visit_mass`; LOGSPACE accumulates
     per-bucket running log-sum-exp.
     """
+    _check_state(target, "target")
     _check_enumerable(n, guard)
     mode = chain.mode
     if mode is NumericMode.FLOAT:
         p01f, p10f, p1f = chain.float_params()
         buckets = kernels.enumerate_visit_mass(n, p01f, p10f, p1f)
     else:
-        init, trans, mul = _raw_values(chain)
-        if mode is NumericMode.EXACT:
-            buckets = [0] * (n + 1)
-
-            def leaf(v: int, acc) -> None:
-                buckets[v] += acc
-
-        else:
-            buckets = [_NEG_INF] * (n + 1)
-
-            def leaf(v: int, acc) -> None:
-                buckets[v] = _log_add(buckets[v], acc)
+        init, trans = _raw_values(chain)
+        ar = ARITHMETIC[mode]
+        add, mul = ar.add, ar.mul
+        buckets = [ar.zero] * (n + 1)
 
         def walk(depth: int, prev: int, acc, visits: int) -> None:
             if depth == n:
-                leaf(visits, acc)
+                buckets[visits] = add(buckets[visits], acc)
                 return
             walk(depth + 1, 0, mul(acc, trans[prev][0]), visits)
             walk(depth + 1, 1, mul(acc, trans[prev][1]), visits + 1)
@@ -186,6 +177,8 @@ def census_by_j(
     probability monomial.  The returned ``term`` is that shared monomial
     (initial-placement factor excluded).
     """
+    _check_state(initial, "initial")
+    _check_state(final, "final")
     _check_enumerable(n, guard, k)
     seen: dict[int, list] = {}
     counts = [[0, 0], [0, 0]]  # counts[a][b]: transitions a -> b so far
@@ -241,6 +234,7 @@ class SimulationResult:
     elapsed: float
 
     def empirical_distribution(self, target: State = State.S1) -> VisitDistribution:
+        _check_state(target, "target")
         freqs = [c / self.trials for c in self.counts]
         if target is State.S0:
             freqs = freqs[::-1]

@@ -609,9 +609,64 @@ slice_mode_edge_chains = st.builds(
 )
 
 
+def reference_boundary_masses(chain, n, k):
+    """P(k | S1), P(k | S0) and P(N1 = k) at k = 0 or n by ``ProbValue``
+    arithmetic: p_uu**(n-1) from the start u of the one uniform path, zero
+    from the other, then p1 * s1 + p0 * s0."""
+    uniform = State.S0 if k == 0 else State.S1
+
+    def cond(start):
+        if start is not uniform:
+            return ProbValue.zero(chain.mode)
+        return pow_prob(chain.transition(uniform, uniform), n - 1)
+
+    s1, s0 = cond(State.S1), cond(State.S0)
+    return s1, s0, chain.p1 * s1 + chain.p0 * s0
+
+
+def assert_boundary_matches_probvalue_arithmetic(ev):
+    """k = 0 and k = n: both start conditionals, ``visit_probability`` for
+    both targets and both distributions' masses have the bits of
+    ``reference_boundary_masses``."""
+    n, chain = ev.n, ev.chain
+    dists = [visit_distribution(n, target, chain) for target in (State.S1, State.S0)]
+    for k in (0, n):
+        s1, s0, mixed = reference_boundary_masses(chain, n, k)
+        got = (
+            ev.conditional(State.S1, k),
+            ev.conditional(State.S0, k),
+            ev.visit_probability(k, State.S1),
+            ev.visit_probability(n - k, State.S0),
+            dists[0].mass[k],
+            dists[1].mass[n - k],
+        )
+        assert [repr(v.value) for v in got] == [repr(v.value) for v in (s1, s0) + (mixed,) * 4]
+
+
+all_mode_edge_chains = st.builds(
+    build_chain,
+    rational_or_edge,
+    rational_or_edge,
+    rational_or_edge,
+    st.sampled_from(NumericMode),
+)
+
+# p00 and p11 each 0, 1 or strictly between.
+BOUNDARY_CHAINS = {
+    "skewed": SKEWED,
+    "p00=0": (1, "2/5", "1/3"),
+    "p00=1": (0, "2/5", "1/3"),
+    "p11=0": ("3/10", 1, "1/3"),
+    "p11=1": ("3/10", 0, "1/3"),
+    "p00=p11=0": (1, 1, "2/7"),
+    "p00=p11=1": (0, 0, "2/7"),
+}
+
+
 class TestMassAssembly:
     """FLOAT and LOGSPACE masses are assembled from raw doubles with the
-    mode's add and operator; the bits are those of ``ProbValue`` arithmetic."""
+    mode's add and operator; the bits are those of ``ProbValue`` arithmetic.
+    So are the boundary masses, k = 0 and k = n, in every mode."""
 
     @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
     @pytest.mark.parametrize("n", [2, 3, 9, 40])
@@ -623,6 +678,20 @@ class TestMassAssembly:
     def test_raw_assembly_equals_probvalue_arithmetic_on_edge_chains(self, chain, n):
         """p = 0 or 1 included: logs of -inf and 0.0, doubles of 0.0."""
         assert_assembly_matches_probvalue_arithmetic(_Evaluator(chain, n))
+
+    @pytest.mark.parametrize("mode", list(NumericMode))
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 300])
+    @pytest.mark.parametrize("params", list(BOUNDARY_CHAINS.values()), ids=list(BOUNDARY_CHAINS))
+    def test_boundary_masses_equal_probvalue_arithmetic(self, params, n, mode):
+        """N = 1 raises p00 and p11 to the 0th power, which is one even where
+        they are zero.  At N = 9, 40 and 300, a FLOAT running product of p00
+        or p11 differs from ** in its last bits on the skewed chain."""
+        assert_boundary_matches_probvalue_arithmetic(_Evaluator(build_chain(*params, mode), n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(all_mode_edge_chains, st.integers(min_value=1, max_value=30))
+    def test_boundary_masses_equal_probvalue_arithmetic_on_edge_chains(self, chain, n):
+        assert_boundary_matches_probvalue_arithmetic(_Evaluator(chain, n))
 
 
 class TestExactReduction:

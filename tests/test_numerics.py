@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from visitprob.errors import BackendMismatchError, ParameterError
 from visitprob.numerics import (
+    ARITHMETIC,
     NumericMode,
     ProbValue,
     _LSE_WINDOW,
@@ -99,6 +100,92 @@ def unimodal_logs(draw):
 # 1.0, while the term at -50.0, outside the window, lifts the full sum past the
 # tie at 1 + 2**-53: the bound check fails and every exp is summed.
 FALLBACK_LOGS = [0.0, -36.73680056967711, -50.0]
+
+
+# Raw payloads of each mode on which ProbValue arithmetic stays in range:
+# ints and Fractions, doubles in [0, 2], logs up to log 2 and -inf.
+PAYLOADS = {
+    EXACT: st.one_of(
+        st.integers(min_value=0, max_value=5),
+        st.fractions(min_value=0, max_value=2, max_denominator=50),
+    ),
+    FLOAT: st.one_of(st.floats(min_value=0.0, max_value=2.0), st.sampled_from([0.0, 5e-324])),
+    LOG: st.one_of(st.floats(min_value=-800.0, max_value=math.log(2.0)), st.just(NEG_INF)),
+}
+
+
+def same_payload(a, b) -> bool:
+    """Equal payloads, floats bit for bit."""
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and same_bits(a, b)
+    return a == b
+
+
+@st.composite
+def mode_and_payloads(draw, count=2):
+    mode = draw(st.sampled_from(NumericMode))
+    return mode, [draw(PAYLOADS[mode]) for _ in range(count)]
+
+
+class TestArithmeticRecord:
+    """Each mode's ``ARITHMETIC`` record obeys the laws of its operations,
+    and ``ProbValue`` arithmetic, ``pow_prob`` and ``sum_values`` are the
+    record's operations on the payloads."""
+
+    @given(mode_and_payloads(count=1))
+    def test_identities(self, drawn):
+        """Equal as numbers: x + 0.0 turns a payload of -0.0 into 0.0."""
+        mode, (x,) = drawn
+        ar = ARITHMETIC[mode]
+        assert ar.add(x, ar.zero) == x
+        assert ar.mul(x, ar.one) == x
+        assert ar.power(x, 0) == ar.one
+        assert ar.power(ar.zero, 0) == ar.one
+        assert ar.total([]) == ar.zero
+
+    @given(mode_and_payloads(count=1), st.integers(min_value=0, max_value=60))
+    def test_powers_table(self, drawn, n):
+        """Running products in EXACT and FLOAT, e * log b in LOGSPACE (and
+        0.0 at e = 0, where -inf * 0 would be NaN)."""
+        mode, (base,) = drawn
+        ar = ARITHMETIC[mode]
+        table = ar.powers(base, n)
+        assert len(table) == n + 1
+        expected = ar.one
+        for e, entry in enumerate(table):
+            if mode is LOG:
+                expected = 0.0 if e == 0 else e * base
+            assert same_payload(entry, expected), e
+            expected = expected * base
+
+    @given(mode_and_payloads(count=1), st.integers(min_value=1, max_value=60))
+    def test_power_is_double_star_or_scaled_log(self, drawn, e):
+        mode, (x,) = drawn
+        assert same_payload(ARITHMETIC[mode].power(x, e), e * x if mode is LOG else x**e)
+
+    @given(mode_and_payloads(count=2), st.integers(min_value=0, max_value=40))
+    def test_probvalue_arithmetic_reads_the_record(self, drawn, e):
+        mode, (x, y) = drawn
+        ar = ARITHMETIC[mode]
+        a, b = ProbValue(mode, x), ProbValue(mode, y)
+        assert same_payload((a + b).value, ar.add(a.value, b.value))
+        assert same_payload((a * b).value, ar.mul(a.value, b.value))
+        assert same_payload(pow_prob(a, e).value, ar.power(a.value, e))
+        assert a.is_zero() == (x == ar.zero)
+        assert same_payload(ProbValue.zero(mode).value, ProbValue(mode, ar.zero).value)
+        assert same_payload(ProbValue.one(mode).value, ProbValue(mode, ar.one).value)
+
+    @given(mode_and_payloads(count=8), st.integers(min_value=0, max_value=8))
+    def test_sum_values_is_the_records_total(self, drawn, length):
+        mode, payloads = drawn
+        values = [ProbValue(mode, x) for x in payloads[:length]]
+        want = ARITHMETIC[mode].total([v.value for v in values])
+        assert same_payload(sum_values(values, mode).value, ProbValue(mode, want).value)
+
+    @given(st.sampled_from(NumericMode), st.integers(min_value=0, max_value=10**6))
+    def test_from_int_embeds_exactly_or_rounds_once(self, mode, n):
+        want = {EXACT: Fraction(n), FLOAT: float(n), LOG: math.log(n) if n else NEG_INF}[mode]
+        assert same_payload(ProbValue.from_int(n, mode).value, want)
 
 
 class TestPowProb:

@@ -453,3 +453,32 @@ def test_non_int_k_rejected(call):
     validated before k."""
     with pytest.raises(ParameterError, match="k must be an integer|horizon"):
         call(build_chain(*GENERIC))
+
+
+# A plain 0 or 1 is not a State: compared by identity, it would match
+# neither state, and the call would answer for the wrong one.
+NOT_STATES = [0, 1, True, "S1", None]
+
+
+@pytest.mark.parametrize("bad", NOT_STATES, ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda c, s: visit_distribution(3, s, c), "target"),
+        (lambda c, s: oracle_distribution(3, s, c), "target"),
+        (lambda c, s: simulate(3, c, 10, 1).empirical_distribution(s), "target"),
+        (lambda c, s: term_census(0, 3, s, State.S0), "initial"),
+        (lambda c, s: term_census(0, 3, State.S0, s), "final"),
+        (lambda c, s: census_by_j(3, 0, s, State.S0, c), "initial"),
+        (lambda c, s: census_by_j(3, 0, State.S0, s, c), "final"),
+        (lambda c, s: VisitQuery(3, 0, s), "target"),
+    ],
+    ids=[
+        "visit_distribution", "oracle_distribution", "empirical_distribution",
+        "term_census-initial", "term_census-final", "census_by_j-initial",
+        "census_by_j-final", "VisitQuery",
+    ],
+)
+def test_non_state_rejected(call, name, bad):
+    with pytest.raises(ParameterError, match=f"{name} must be a State"):
+        call(build_chain(*GENERIC), bad)
