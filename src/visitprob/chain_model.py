@@ -52,6 +52,18 @@ def _check_state(value, name: str) -> None:
         raise ParameterError(f"{name} must be a State, got {value!r}")
 
 
+def _check_horizon(n: int) -> None:
+    """Reject a horizon that is not a positive integer (``bool`` included)."""
+    if not _is_int(n) or n < 1:
+        raise ParameterError(f"horizon must be a positive integer, got {n}")
+
+
+def _check_visits(k: int, n: int) -> None:
+    """Reject a visit count that is not an integer (``bool`` included) in [0, n]."""
+    if not _is_int(k) or not 0 <= k <= n:
+        raise ParameterError(f"k must be an integer in [0, {n}], got {k!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class TransitionCounts:
     """Counts of the four transition types along one trajectory."""
@@ -105,9 +117,12 @@ class ChainSpec:
                 raise ParameterError(f"{label} must equal 1 within {_ROW_TOLERANCE}, got {s}")
 
     def initial(self, state: State) -> ProbValue:
+        _check_state(state, "state")
         return self.p1 if state is State.S1 else self.p0
 
     def transition(self, src: State, dst: State) -> ProbValue:
+        _check_state(src, "src")
+        _check_state(dst, "dst")
         return getattr(self, f"p{src.value}{dst.value}")
 
     def as_mode(self, target: NumericMode) -> "ChainSpec":
@@ -179,10 +194,6 @@ class VisitQuery:
     target: State = State.S1
 
     def __post_init__(self) -> None:
-        if not _is_int(self.horizon_n) or self.horizon_n < 1:
-            raise ParameterError(f"horizon_n must be a positive integer, got {self.horizon_n}")
-        if not _is_int(self.visits_k) or not 0 <= self.visits_k <= self.horizon_n:
-            raise ParameterError(
-                f"visits_k must lie in [0, {self.horizon_n}], got {self.visits_k}"
-            )
+        _check_horizon(self.horizon_n)
+        _check_visits(self.visits_k, self.horizon_n)
         _check_state(self.target, "target")

@@ -73,6 +73,22 @@ Where Y = 0 the ratio is undefined, but every term except the last (j = c)
 carries a power of Y, so that one term is formed directly; where X = 0
 every term after the first is 0.
 
+A whole EXACT distribution does not sum every pair so.  As sequences in m,
+0 < m < n/2, T_A, T_B and T_C each satisfy a linear recurrence of order 2
+whose coefficients are integer polynomials in m, n, X and Y, cubic in m,
+derived by Zeilberger's creative telescoping with a certificate that a
+test checks term by term (see ``_recurrence_coefficients``).  So
+``visit_distribution`` sums by term ratios only the seeds m = 1 and 2 and
+the middle pair m = n/2, whose T_C stops at c3 = m-1 and so leaves the
+sequence, and forms each other pair's three sums from the two pairs before
+it: a few big-integer products and one exact floor division per sum, O(n)
+steps where the term ratios form about 3n**2/8 terms.  The recurrence is a
+polynomial identity in X and Y and its leading coefficient is positive at
+every step, so X = 0, Y = 0 and X = Y need no fallback.  It runs in
+increasing m and keeps two pairs' sums, so memory stays linear in n.  A
+single k (``visit_probability``, the conditionals) keeps the term-ratio
+sums: a recurrence from m = 1 would take as many steps as they have terms.
+
 Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
 its reduction raises :class:`~visitprob.errors.NumericalError`.
 
@@ -88,10 +104,11 @@ row prefixes) of the current pair: memory grows linearly in N.
 From N = 400 on, ``visit_distribution`` passes its evaluator to
 :func:`visitprob.split.split_masses`, which, when a second CPU is free,
 forks one child that evaluates the pairs with odd m and sends their raw
-masses back through a pipe as plain ints or floats; the result is
-bit-identical to the serial loop.  It stays serial where ``os.fork`` is
-missing, fewer than two CPUs are usable, another thread is alive, or the
-fork fails.
+masses back through a pipe as plain ints or floats (in EXACT mode each
+process runs the recurrence through every m up to its last and assembles
+only its own pairs); the result is bit-identical to the serial loop.  It
+stays serial where ``os.fork`` is missing, fewer than two CPUs are usable,
+another thread is alive, or the fork fails.
 """
 
 from __future__ import annotations
@@ -103,7 +120,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from visitprob.chain_model import ChainSpec, State, TransitionCounts, VisitQuery, _check_state
+from visitprob.chain_model import (
+    ChainSpec,
+    State,
+    TransitionCounts,
+    VisitQuery,
+    _check_horizon,
+    _check_state,
+    _check_visits,
+)
 # BinomialTable and log_binomial are unused here, but perfbench/tracing.py looks
 # them up on this module.
 from visitprob.combinatorics import BinomialTable, binomial, log_binomial  # noqa: F401
@@ -136,18 +161,6 @@ class SummationLimits:
     c1: int
     c2: int
     c3: int
-
-
-def _check_horizon(n: int) -> None:
-    """Reject a horizon that is not a positive integer (``bool`` included)."""
-    if not _is_int(n) or n < 1:
-        raise ParameterError(f"horizon must be a positive integer, got {n}")
-
-
-def _check_visits(k: int, n: int) -> None:
-    """Reject a visit count that is not an integer (``bool`` included) in [0, n]."""
-    if not _is_int(k) or not 0 <= k <= n:
-        raise ParameterError(f"k must be an integer in [0, {n}], got {k!r}")
 
 
 def summation_limits(k: int, n: int) -> SummationLimits:
@@ -236,19 +249,61 @@ def _finite_sum(terms: list[float], n: int) -> float:
     return total
 
 
+# The EXACT pair sum T(c, d1, d2) of pair m has c = m - d1 for 0 < m < n/2,
+# and its terms then run over every i where both binomials are nonzero.  As a
+# sequence in m, with e = d1 - d2 and w = n - 2m - 2 + e, it satisfies
+#
+#     q0(m) * T(m) + q1(m) * T(m+1) + q2(m) * T(m+2) = 0      (m >= 1, m+2 < n/2)
+#
+#     q0 = Y**2 * m * (w-1) * (n-m-1+e)
+#     q1 = -w * (X * (w-1) * (w+1) + Y * (2m * (n-m-1) + (1-e) * (w+1)))
+#     q2 = (m+1-e) * (w+1) * (n-m-2)
+#
+# Zeilberger's creative telescoping gives it (Zeilberger, J. Symbolic Comput.
+# 11, 1991; Petkovsek, Wilf and Zeilberger, A = B, 1996, ch. 6), derived
+# offline.  With F(m, i) = C(m-1, i+d1) * C(n-m-1, i+d2) * X**(i+d1+d2) *
+# Y**(m-1-d1-i) the summand, its certificate R(m, i) makes it telescope:
+#
+#     q0 F(m, i) + q1 F(m+1, i) + q2 F(m+2, i) = G(m, i+1) - G(m, i),
+#     G(m, i) = R(m, i) * F(m, i)
+#             = -(w-1) w (w+1) C(m, i+d1-1) C(n-m-2, i+d2-1) X**(i+d1+d2) Y**(m+1-d1-i),
+#     R(m, i) = -(w-1) w (w+1) m (i+d1) (i+d2) Y**2 / ((m-i-d1) (m+1-i-d1) (n-m-1)).
+#
+# G(m, 0) = 0 (d1 * d2 = 0) and G(m, i) = 0 past i = m+1, so the sum over i
+# telescopes to 0.  Both sides are integer polynomials in X and Y, so the
+# recurrence holds at X = 0, Y = 0 and X = Y too, and q2 > 0 at every step
+# taken (m+1-e >= m, w+1 > 2 and n-m-2 > m): no step needs a fallback.
+# The middle pair m = n/2 is off the sequence: its T_C has c = m-1, not m.
+
+# e = d1 - d2 of T_A, T_B and T_C.
+_SHIFTS = (0, 1, -1)
+
+
+def _recurrence_coefficients(m: int, n: int, x: int, y: int, e: int) -> tuple[int, int, int]:
+    """(q0, q1, q2) at m of the pair sum with e = d1 - d2, for X = x and Y = y."""
+    w = n - 2 * m - 2 + e
+    return (
+        y * y * m * (w - 1) * (n - m - 1 + e),
+        -w * (x * (w - 1) * (w + 1) + y * (2 * m * (n - m - 1) + (1 - e) * (w + 1))),
+        (m + 1 - e) * (w + 1) * (n - m - 2),
+    )
+
+
 class _Evaluator:
     """Shared per-call state in raw payloads (numerators in EXACT mode):
     powers 0..n of p00..p11 and 0..n/2 of X = p01*p10 and Y = p00*p11, the
     boundary conditionals, ``_combine`` and ``_add`` from the mode's
-    ``numerics.ARITHMETIC``, its branch scales and start weights, and its
-    pair sum ``_sum`` over two binomial rows: EXACT sums by term ratios, so
-    its rows are their indices; FLOAT and LOGSPACE keep the mode's row
-    builder and reduction.  ``_pair`` evaluates every interior k, alone or
-    with its mirror n-k."""
+    ``numerics.ARITHMETIC``, its branch scales and start weights, its pair
+    sum ``_sum`` over two binomial rows, and ``_sequence``, which gives the
+    pair sums of a run of pairs: EXACT sums one pair by term ratios, so its
+    rows are their indices, and a run by the recurrence in m; FLOAT and
+    LOGSPACE keep the mode's row builder and reduction and sum every pair
+    alone.  ``_pair`` evaluates every interior k, alone or with its mirror
+    n-k."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated", "_pows", "_xy_pows", "_ends", "_combine",
-        "_add", "_scales", "_weights", "_sure", "_sum", "_row", "_reduce",
+        "_add", "_scales", "_weights", "_sure", "_sum", "_sequence", "_row", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -260,8 +315,9 @@ class _Evaluator:
         ar = ARITHMETIC[self.mode]
         self._combine, self._add = ar.mul, ar.add
         bases = [p.value for p in (chain.p00, chain.p01, chain.p10, chain.p11)]
-        # _sum is a function, not a bound method, and no row builder or
-        # reduction refers to self, so the evaluator makes no reference cycle.
+        # _sum and _sequence are functions, not bound methods, and no row
+        # builder or reduction refers to self, so the evaluator makes no
+        # reference cycle.
         if self.mode is NumericMode.EXACT:
             bases = [b.numerator for b in bases]
             u, w = chain.p1.value.numerator, chain.p1.value.denominator
@@ -270,10 +326,11 @@ class _Evaluator:
             self._weights, self._sure = (u, w - u), w
             # _pair_sum forms its binomials by term ratios: a row is its index.
             self._row, self._sum = (lambda r, length: r), _Evaluator._pair_sum
+            self._sequence = _Evaluator._recurrence_sums
         else:
             self._scales, self._sure = (ar.one, ar.one), ar.one
             self._weights = (chain.p1.value, chain.p0.value)
-            self._sum = _Evaluator._sliced_sum
+            self._sum, self._sequence = _Evaluator._sliced_sum, _Evaluator._each_pair_sums
             if self.mode is NumericMode.FLOAT:
                 self._row = _float_row
                 self._reduce = lambda terms: _finite_sum(terms, n)
@@ -300,26 +357,68 @@ class _Evaluator:
             n: (ar.mul(ar.power(p11, n - 1), e1), ar.zero),
         }
 
-    def _pair(self, ks: tuple[int, ...]) -> list[tuple]:
+    def _pair_sums(self, m: int) -> tuple:
+        """T_A, T_B and T_C of pair m, each by the mode's ``_sum`` over rows
+        m-1 and n-m-1; every term formed counts in ``terms_evaluated``."""
+        n = self.n
+        c1, c2, c3 = [_branch_limit(o1, o2, m, n) for o1, o2 in _LIMIT_OFFSETS]
+        self.terms_evaluated += c1 + c2 + c3
+        pair_sum = functools.partial(self._sum, self)
+        a, b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
+        return pair_sum(a, b, c1, 0, 0), pair_sum(a, b, c2, 1, 0), pair_sum(a, b, c3, 0, 1)
+
+    def _each_pair_sums(self, ms: range):
+        """(m, (T_A, T_B, T_C)) for each m in ``ms``, every pair summed alone."""
+        for m in ms:
+            yield m, self._pair_sums(m)
+
+    def _recurrence_sums(self, ms: range):
+        """EXACT (m, (T_A, T_B, T_C)) for each m in ``ms``, in increasing m.
+
+        The seeds m = 1, 2 and the middle pair m = n/2 come from
+        ``_pair_sums``; every other m below n/2 takes one step of each sum's
+        recurrence in m (see ``_recurrence_coefficients``) from the two pairs
+        before it, which counts one in ``terms_evaluated`` per sum.  So the
+        recurrence runs through every m up to the last in ``ms``, and only
+        the last two triples are kept.
+        """
+        if not ms:
+            return
+        n, top = self.n, ms[-1]
+        x, y = self._xy_pows[0][1], self._xy_pows[1][1]
+        last = min(top, (n - 1) // 2)
+        older = newer = ()
+        for m in range(1, last + 1):
+            if m < 3:
+                sums = self._pair_sums(m)
+            else:
+                self.terms_evaluated += 3
+                coefficients = functools.partial(_recurrence_coefficients, m - 2, n, x, y)
+                steps = zip(map(coefficients, _SHIFTS), older, newer)
+                sums = tuple(-(q0 * t0 + q1 * t1) // q2 for (q0, q1, q2), t0, t1 in steps)
+            older, newer = newer, sums
+            if m in ms:
+                yield m, sums
+        if top > last:  # the middle pair m = n/2
+            yield top, self._pair_sums(top)
+
+    def _pair(self, ks: tuple[int, ...], sums: tuple | None = None) -> list[tuple]:
         """The four interior sums of each k in ``ks``, in the order of
         ``_OFFSETS`` (S1->S0, S1->S1, S0->S1, S0->S0): FLOAT or LOGSPACE
         values, or EXACT integer numerators over d0**a * d1**b.
 
         ``ks`` is one interior k, or the pair (m, n-m) with 0 < m < n/2.
-        The three pair sums T_A, T_B and T_C of m = min(k, n-k) are formed
-        once, by the mode's ``_sum`` over rows m-1 and n-m-1, and every
-        branch is derived from them, as the module docstring says.
+        Every branch is derived from the three pair sums T_A, T_B and T_C of
+        m = min(k, n-k), as the module docstring says: ``sums`` if given,
+        else ``_pair_sums(m)``.
         """
         n = self.n
         m = min(ks[0], n - ks[0])
-        c1, c2, c3 = [_branch_limit(o1, o2, m, n) for o1, o2 in _LIMIT_OFFSETS]
-        self.terms_evaluated += c1 + c2 + c3
-        pair_sum = functools.partial(self._sum, self)
-        a, b = self._row(m - 1, m), self._row(n - m - 1, min(m + 1, n - m))
-        t_a, t_b, t_c = pair_sum(a, b, c1, 0, 0), pair_sum(a, b, c2, 1, 0), pair_sum(a, b, c3, 0, 1)
+        t_a, t_b, t_c = self._pair_sums(m) if sums is None else sums
+        c3 = _branch_limit(*_LIMIT_OFFSETS[2], m, n)
         op = self._combine
         pow00, pow01, pow10, pow11 = self._pows
-        sums = []
+        branches = []
         for k in ks:
             # At k = n-m the powers of p00 and p11 trade places, and T_B and
             # T_C trade the two branches that end where they start.
@@ -328,8 +427,8 @@ class _Evaluator:
             short = op(q0[n - 2 * m + 1], t_b)
             long = op(op(q0[n - m - 1 - c3], q1[m - c3]), t_c)
             same1, same0 = (short, long) if k == m else (long, short)
-            sums.append((op(pow10[1], cross), same1, op(pow01[1], cross), same0))
-        return sums
+            branches.append((op(pow10[1], cross), same1, op(pow01[1], cross), same0))
+        return branches
 
     def _sliced_sum(self, row_a: list, row_b: list, c: int, d1: int, d2: int):
         """FLOAT or LOGSPACE sum over i = 0..c-1 of C(a, i+d1) * C(b, i+d2) *
@@ -412,31 +511,37 @@ class _Evaluator:
 # (visitprob.split).  On a 2-core VM, when the second core is busy, the fork
 # and a child that starts 2-6 ms late cost up to 25 % at N = 200-400 and
 # about 10 % from N = 400 on.  With it idle, serial -> split, medians of 15,
-# two or three runs, chain 3/10, 2/5, 1/2:
-#   EXACT     N = 200   0.008-0.010 -> 0.009-0.010 s
-#             N = 400   0.031-0.032 -> 0.026-0.029 s
-#             N = 1000  0.32-0.33 -> 0.19-0.22 s
+# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: the split forced on at
+# N = 200, medians of 15 from two runs, and of 3 at N = 2000):
+#   EXACT     N = 200   0.0026-0.0041 -> 0.0041-0.0056 s
+#             N = 400   0.0076-0.0120 -> 0.0091-0.0117 s
+#             N = 1000  0.048-0.053 -> 0.053-0.066 s
+#             N = 2000  0.25-0.35 -> 0.32-0.33 s
 #   FLOAT     N = 200   0.006-0.008 -> 0.006-0.009 s
 #             N = 400   0.016-0.018 -> 0.013-0.016 s
 #             N = 1000  0.092-0.093 -> 0.057-0.062 s
 #   LOGSPACE  N = 200   0.007-0.011 -> 0.009-0.011 s
 #             N = 400   0.023-0.032 -> 0.017-0.021 s
 #             N = 1000  0.11-0.16 -> 0.074-0.094 s
+# Since EXACT takes its pair sums from the recurrence in m, its split saves
+# nothing up to N = 1000: what is left is mostly the Fractions, and the
+# parent builds all of them.  One threshold serves every mode.
 _SPLIT_MIN_HORIZON = 400
 
 
 def _pair_masses(ev: _Evaluator, ms: range) -> dict[int, object]:
     """{k: raw P(N1 = k)} for k = m and k = n-m, for each 0 < m <= n/2 in
-    ``ms``, as ``_Evaluator._prob`` reads them.
+    ``ms`` (increasing), as ``_Evaluator._prob`` reads them.
 
-    One ``_Evaluator._pair`` call serves both masses of an interior pair:
-    they share its three pair sums.
+    The mode's ``_sequence`` gives the three pair sums of each m in ``ms``,
+    and one ``_Evaluator._pair`` call derives both masses of the pair from
+    them.
     """
     n = ev.n
     masses = {}
-    for m in ms:
+    for m, sums in ev._sequence(ev, ms):
         ks = (m, n - m) if 2 * m < n else (m,)
-        masses.update(zip(ks, map(ev._mass, map(ev._by_start, ev._pair(ks)))))
+        masses.update(zip(ks, map(ev._mass, map(ev._by_start, ev._pair(ks, sums)))))
     return masses
 
 

@@ -35,8 +35,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from visitprob import kernels
-from visitprob.chain_model import ChainSpec, State, TransitionCounts, _check_state
-from visitprob.closed_form import VisitDistribution, _check_horizon, _check_visits
+from visitprob.chain_model import (
+    ChainSpec,
+    State,
+    TransitionCounts,
+    _check_horizon,
+    _check_state,
+    _check_visits,
+)
+from visitprob.closed_form import VisitDistribution
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
 from visitprob.numerics import ARITHMETIC, NumericMode, ProbValue, _is_int, pow_prob
 

@@ -9,7 +9,7 @@ the same evaluator and sends their raw masses back through a pipe as plain
 ints or floats (integer numerators, values or logs), which the caller turns
 into ``ProbValue``s as it does its own.  So each mass is the one the serial
 pair loop gives.  ``closed_form`` imports this module only for horizons
-large enough to gain from it.
+large enough for FLOAT and LOGSPACE to gain from it.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ def split_masses(ev) -> dict:
     ``ev``, as ``closed_form._pair_masses`` gives them, the pairs (m, n-m)
     with odd m computed by one forked child.
 
-    Pair m has about 3 * m terms in every mode, and in FLOAT and LOGSPACE
-    it also builds 2 * m + 1 binomial-row entries, so alternate pairs give
-    both processes, to within 3 terms and 2 row entries per pair, half of
-    the work.  The child sends its ``{k: raw}`` through a pipe with
+    In FLOAT and LOGSPACE pair m has about 3 * m terms and builds
+    2 * m + 1 binomial-row entries, so alternate pairs give both processes,
+    to within 3 terms and 2 row entries per pair, half of the work.  In
+    EXACT each process runs the pair-sum recurrence through every m up to
+    its last and derives the masses of its own pairs only.  The child sends its ``{k: raw}`` through a pipe with
     ``marshal``.  If it fails or dies, this process computes its share too,
     so the caller sees the serial pair loop's result or exception; if this
     process raises, the child is killed and reaped.  Without a free second

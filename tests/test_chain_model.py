@@ -11,8 +11,12 @@ from visitprob.chain_model import (
     build_chain,
     swap_labels,
 )
+from visitprob.closed_form import prob_given_start_s1, visit_distribution
 from visitprob.errors import ParameterError
 from visitprob.numerics import NumericMode
+from visitprob.oracle import oracle_distribution
+
+NON_STATES = [0, 1, True, "S1", None]
 
 probabilities = st.fractions(min_value=0, max_value=1, max_denominator=30)
 
@@ -66,6 +70,18 @@ class TestBuildChain:
         assert c.transition(State.S1, State.S0).value == Fraction(2, 5)
         assert c.initial(State.S1).value == Fraction(1, 2)
 
+    @pytest.mark.parametrize("value", NON_STATES)
+    def test_accessors_reject_non_states(self, value):
+        """A plain 0 or 1 once read as S0 in ``initial`` (it tests
+        ``state is State.S1``) and raised AttributeError in ``transition``."""
+        c = build_chain("3/10", "2/5", "1/4")
+        with pytest.raises(ParameterError, match="state must be a State"):
+            c.initial(value)
+        with pytest.raises(ParameterError, match="src must be a State"):
+            c.transition(value, State.S1)
+        with pytest.raises(ParameterError, match="dst must be a State"):
+            c.transition(State.S0, value)
+
     def test_as_mode_round_trip_structure(self):
         c = build_chain("3/10", "2/5", "1/2").as_mode(NumericMode.FLOAT)
         assert c.mode is NumericMode.FLOAT
@@ -108,6 +124,27 @@ class TestVisitQuery:
     def test_rejects_non_state_target(self):
         with pytest.raises(ParameterError):
             VisitQuery(4, 2, target=1)
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (True, 0), (5, 6)], ids=["n=0", "n=True", "k=n+1"])
+    def test_messages_match_the_closed_form_and_oracle(self, n, k):
+        """A query and the functions that take N and k directly share one
+        horizon check and one visit-count check, so one bad argument reads
+        the same from every entry point."""
+        chain = build_chain("3/10", "2/5", "1/2")
+        with pytest.raises(ParameterError) as query:
+            VisitQuery(n, k)
+        with pytest.raises(ParameterError) as direct:
+            prob_given_start_s1(k, n, chain)
+        assert str(direct.value) == str(query.value)
+        if k <= 1:  # a bad horizon: these take N alone
+            for distribution in (visit_distribution, oracle_distribution):
+                with pytest.raises(ParameterError) as other:
+                    distribution(n, State.S1, chain)
+                assert str(other.value) == str(query.value)
+        else:
+            with pytest.raises(ParameterError) as other:
+                visit_distribution(n, State.S1, chain).probability(k)
+            assert str(other.value) == str(query.value)
 
 
 class TestTransitionCounts:

@@ -57,7 +57,7 @@ class TestProb:
     def test_k_above_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "prob", *SYM, "--n", "8", "--k", "9")
         assert code == 2
-        assert "visits_k" in err
+        assert "k must be an integer in [0, 8], got 9" in err
 
     def test_bad_probability_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -264,20 +264,30 @@ class TestValidateCommand:
 def test_term_count_is_the_evaluators_count(mode, n):
     """``diagnostics.terms`` is the closed form's count of the interior terms
     behind one probability, 2c1 + c2 + c3; a boundary k has none and is
-    reported as 1.  Every mode evaluates the pair (m, n-m) at once from three
+    reported as 1.  Every mode evaluates one pair (m, n-m) at once from three
     pair sums: the S1->S0 and S0->S1 branches share one sum of c1 terms,
     formed once for both masses, so the pair evaluates the count of either
-    mass less c1."""
+    mass less c1.  A whole distribution sums every pair so in FLOAT and
+    LOGSPACE; EXACT sums only the pairs m = 1, 2 and n/2 so and counts one
+    recurrence step per sum for every other m, so ``diagnostics.terms``
+    counts the formula's terms, not the engine's work."""
     ev = _Evaluator(build_chain("3/10", "2/5", "1/2", mode), n)
     ev.visit_probability(0, State.S1)
     ev.visit_probability(n, State.S1)
     assert (cli._term_count(0, n), cli._term_count(n, n), ev.terms_evaluated) == (1, 1, 0)
-    for m in range(1, n // 2 + 1):
+    pairs = range(1, n // 2 + 1)
+    for m in pairs:
         before = ev.terms_evaluated
-        _pair_masses(ev, range(m, m + 1))
+        ev._pair((m, n - m) if 2 * m < n else (m,))
         evaluated = ev.terms_evaluated - before
         shared = summation_limits(m, n).c1
         assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
+    alone = [m for m in pairs if mode is not NumericMode.EXACT or m < 3 or 2 * m == n]
+    before = ev.terms_evaluated
+    _pair_masses(ev, pairs)
+    assert ev.terms_evaluated - before == sum(
+        cli._term_count(m, n) - summation_limits(m, n).c1 for m in alone
+    ) + 3 * (len(pairs) - len(alone))
 
 
 class TestTextOutput:

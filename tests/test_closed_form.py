@@ -11,20 +11,23 @@ import time
 import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visitprob import closed_form, split
 from visitprob.chain_model import State, VisitQuery, build_chain, swap_labels
 from visitprob.closed_form import (
     _OFFSETS,
+    _SHIFTS,
     _SPLIT_MIN_HORIZON,
     FLOAT_MAX_HORIZON,
     _Evaluator,
+    _recurrence_coefficients,
     moments,
     prob_given_start_s0,
     prob_given_start_s1,
@@ -487,13 +490,31 @@ class TestSymmetries:
             assert s0.mass[k].value == swapped_s1.mass[k].value
 
 
+def recurrence_count(n, ms):
+    """What EXACT ``_sequence`` over ``ms`` adds to ``terms_evaluated``: the
+    c1 + c2 + c3 terms of each pair it sums alone (m = 1, 2, and n/2 when
+    ``ms`` ends there) and one per sum for every m it steps to by the
+    recurrence (3 <= m < n/2, up to the last m in ``ms``)."""
+    top = ms[-1] if ms else 0
+    run = range(1, min(top, (n - 1) // 2) + 1)
+    alone = [m for m in run if m < 3] + ([top] if 2 * top == n else [])
+    stepped = len(run) - sum(m < 3 for m in run)
+    return sum(sum(astuple(summation_limits(m, n))) for m in alone) + 3 * stepped
+
+
 def assert_exact_branches_match_reference(ev):
     """At every k, each of the four branch numerators that the pair
     (m, n-m) derives from its three sums is the sum of the reference terms,
-    with or without the other k of the pair; and the pair forms c1 + c2 + c3
-    terms, the summation limits of k = m."""
+    with or without the other k of the pair, and whether the sums come from
+    term ratios or from the recurrence in m.  A pair summed by term ratios
+    forms c1 + c2 + c3 terms, the summation limits of k = m; the recurrence
+    counts as ``recurrence_count`` says."""
     n = ev.n
-    for m in range(1, n // 2 + 1):
+    pairs = range(1, n // 2 + 1)
+    before = ev.terms_evaluated
+    stepped = dict(ev._sequence(ev, pairs))
+    assert ev.terms_evaluated - before == recurrence_count(n, pairs)
+    for m in pairs:
         ks = (m, n - m) if 2 * m < n else (m,)
         before = ev.terms_evaluated
         pair = ev._pair(ks)
@@ -505,6 +526,7 @@ def assert_exact_branches_match_reference(ev):
             ]
             assert list(sums) == expected
             assert ev._pair((k,)) == [sums]
+        assert ev._pair(ks, stepped[m]) == pair
 
 
 # How far a branch value from the pair sums may lie from the reduction of
@@ -573,6 +595,129 @@ class TestInteriorTerms:
         """Chains with p00, p01, p10 or p11 zero, where the step ratio has a
         zero numerator or divisor, included."""
         assert_exact_branches_match_reference(_Evaluator(chain, n))
+
+
+def pair_summand(m, i, n, x, y, d1, d2):
+    """F(m, i): term i of the pair sum T(m - d1, d1, d2) of pair m, with
+    integer X = x and Y = y; 0 off the support of its two binomials."""
+    if not (0 <= i + d1 <= m - 1 and 0 <= i + d2 <= n - m - 1):
+        return 0
+    return math.comb(m - 1, i + d1) * math.comb(n - m - 1, i + d2) * x ** (i + d1 + d2) * y ** (
+        m - 1 - d1 - i
+    )
+
+
+def certificate_term(m, i, n, x, y, d1, d2):
+    """G(m, i) = R(m, i) * F(m, i) of the recurrence's comment in
+    ``closed_form``, as an integer: 0 off the support of its two binomials."""
+    w = n - 2 * m - 2 + d1 - d2
+    r1, r2 = i + d1 - 1, i + d2 - 1
+    if not (0 <= r1 <= m and 0 <= r2 <= n - m - 2):
+        return 0
+    return (
+        -(w - 1) * w * (w + 1) * math.comb(m, r1) * math.comb(n - m - 2, r2)
+        * x ** (i + d1 + d2) * y ** (m + 1 - d1 - i)
+    )
+
+
+def certificate_ratio(m, i, n, y, d1, d2):
+    """R(m, i) of the recurrence's comment in ``closed_form``, where F(m, i) != 0."""
+    w = n - 2 * m - 2 + d1 - d2
+    return Fraction(
+        -(w - 1) * w * (w + 1) * m * (i + d1) * (i + d2) * y * y,
+        (m - i - d1) * (m + 1 - i - d1) * (n - m - 1),
+    )
+
+
+def assert_recurrence_matches_pair_sums(ev):
+    """EXACT ``_sequence`` gives every pair, and every other pair (each
+    process of the split asks for one of those), the three sums of
+    ``_pair_sums`` bit for bit, and counts as ``recurrence_count`` says."""
+    n = ev.n
+    pairs = range(1, n // 2 + 1)
+    expected = [(m, ev._pair_sums(m)) for m in pairs]
+    for ms in (pairs, pairs[::2], pairs[1::2]):
+        before = ev.terms_evaluated
+        assert list(ev._sequence(ev, ms)) == [expected[m - 1] for m in ms]
+        assert ev.terms_evaluated - before == recurrence_count(n, ms)
+
+
+# Integer X and Y, 0 and equal values drawn often.
+xy_values = st.one_of(st.sampled_from([0, 1]), st.integers(min_value=0, max_value=10**6))
+
+
+@st.composite
+def telescoping_points(draw):
+    """(n, m, i, X, Y) with m >= 1 and m+2 < n/2, i up to past the support."""
+    n = draw(st.integers(min_value=7, max_value=400))
+    m = draw(st.integers(min_value=1, max_value=(n - 5) // 2))
+    i = draw(st.integers(min_value=0, max_value=m + 3))
+    y = draw(xy_values)
+    x = draw(st.one_of(st.just(y), st.just(0), xy_values))
+    return n, m, i, x, y
+
+GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+
+class TestPairSumRecurrence:
+    """EXACT pair sums of a whole distribution by the recurrence in m, with
+    its creative-telescoping certificate checked term by term."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(telescoping_points())
+    @example((7, 1, 1, 999, 999))
+    @example((40, 10, 11, 0, 5))
+    @example((40, 10, 9, 5, 0))
+    def test_recurrence_telescopes_term_by_term(self, point):
+        """q0 F(m, i) + q1 F(m+1, i) + q2 F(m+2, i) = G(m, i+1) - G(m, i) in
+        integers for each sum, at X = Y, X = 0 and Y = 0 too, with
+        G = R * F wherever F(m, i) != 0."""
+        n, m, i, x, y = point
+        for (d1, d2), e in zip(((0, 0), (1, 0), (0, 1)), _SHIFTS):
+            assert d1 - d2 == e
+            q = _recurrence_coefficients(m, n, x, y, e)
+            left = sum(q[j] * pair_summand(m + j, i, n, x, y, d1, d2) for j in range(3))
+            g0, g1 = (certificate_term(m, i + s, n, x, y, d1, d2) for s in (0, 1))
+            assert left == g1 - g0
+            f = pair_summand(m, i, n, x, y, d1, d2)
+            if f:
+                assert certificate_ratio(m, i, n, y, d1, d2) * f == g0
+
+    def test_recurrence_leading_coefficient_is_positive_at_every_step(self):
+        """T(m) for 3 <= m < n/2 divides by q2(m-2), which depends on m and n
+        only; it is never 0, so no step falls back to ``_pair_sums``."""
+        for n in range(7, 500):
+            for m in range(3, (n - 1) // 2 + 1):
+                for e in _SHIFTS:
+                    assert _recurrence_coefficients(m - 2, n, 1, 1, e)[2] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 9, 40, 41, 199, 200])
+    def test_recurrence_equals_pair_sums_on_grid(self, n):
+        """The 125 chains of ``visitprob validate --grid fine``: X and Y are
+        0, equal or unequal among them."""
+        for p01, p10, p1 in product(GRID, repeat=3):
+            assert_recurrence_matches_pair_sums(_Evaluator(build_chain(p01, p10, p1), n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_chains, st.integers(min_value=1, max_value=200))
+    @example(build_chain("1/1000", "999/1000", "1/2"), 200)
+    @example(build_chain("1/1000", "999/1000", "1/2"), 201)
+    @example(build_chain(*SKEWED), 200)
+    def test_recurrence_equals_pair_sums_on_edge_chains(self, chain, n):
+        """p01, p10 or p1 of 0 or 1 drawn often, and X = Y = 999 at
+        p01 = 1/1000, p10 = 999/1000."""
+        assert_recurrence_matches_pair_sums(_Evaluator(chain, n))
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    @pytest.mark.parametrize("params", [GENERIC, SKEWED], ids=["generic", "skewed"])
+    def test_recurrence_split_masses_equal_serial(self, monkeypatch, params, n):
+        """Each process of the split runs the recurrence up to its last pair
+        and keeps only its own; together they give the serial masses."""
+        chain = build_chain(*params)
+        forked = distribution_masses(chain, n, State.S1)
+        assert_no_child_left()
+        monkeypatch.setattr(split, "_can_split", lambda: False)
+        assert distribution_masses(chain, n, State.S1) == forked
 
 
 def reference_masses(ev, k):
@@ -982,13 +1127,13 @@ class TestSplitDistribution:
         real = _Evaluator._pair
         slept = []
 
-        def pair(ev, ks):
+        def pair(ev, ks, *sums):
             if os.getpid() != parent and not slept:
                 slept.append(None)
                 time.sleep(60)
             elif ks[0] == 2:
                 raise KeyboardInterrupt
-            return real(ev, ks)
+            return real(ev, ks, *sums)
 
         monkeypatch.setattr(_Evaluator, "_pair", pair)
         chain = build_chain(*GENERIC, NumericMode.FLOAT)
