@@ -41,10 +41,6 @@ class State(IntEnum):
     S0 = 0
     S1 = 1
 
-    @property
-    def other(self) -> "State":
-        return State.S1 if self is State.S0 else State.S0
-
 
 def _check_state(value, name: str) -> None:
     """Reject a ``State`` argument that is not one (a plain 0 or 1 among them)."""

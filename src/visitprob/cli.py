@@ -4,13 +4,18 @@ Each command echoes its parsed inputs in canonical form (probabilities as
 reduced fractions), so any emitted record can be re-run verbatim and will
 reproduce its results field.  Exit codes: 0 success, 1 validation
 failure, 2 usage error, 3 enumeration guard, 4 numerical failure (a
-backend overflowed).
+backend overflowed), 141 the reader closed the output pipe early, as
+``| head`` does (128 + SIGPIPE, the status a shell reports for it).
 
 Output formats: ``text`` (human), ``json`` (one self-describing object per
 invocation, schema_version "1"), ``csv`` (a projection of the JSON rows,
 prefixed by the versioned comment line ``# visitprob schema 1``).
 Wall-clock diagnostics are opt-in (``--timing``) so that fixed-seed runs
 produce byte-identical output.
+
+Every command returns its exit code, its record body, its CSV columns and
+rows, and its text renderer; ``main`` adds the record header, times the
+command for ``--timing`` and emits the chosen format.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -67,16 +74,21 @@ def _decimal17(frac: Fraction) -> str:
         return str(Decimal(frac.numerator) / Decimal(frac.denominator))
 
 
+# The fields a probability prints, by mode, each rendered from the raw
+# value: the decimal probability, then the reduced fraction (EXACT) or the
+# natural log (LOGSPACE).  JSON fields and CSV columns both read this table.
+_PROB_FIELDS = {
+    NumericMode.EXACT: {
+        "probability": _decimal17,
+        "exact": lambda f: f"{f.numerator}/{f.denominator}",
+    },
+    NumericMode.FLOAT: {"probability": repr},
+    NumericMode.LOGSPACE: {"probability": lambda v: repr(math.exp(v)), "log": repr},
+}
+
+
 def _prob_fields(pv: ProbValue) -> dict:
-    if pv.mode is NumericMode.EXACT:
-        f = pv.value
-        return {
-            "probability": _decimal17(f),
-            "exact": f"{f.numerator}/{f.denominator}",
-        }
-    if pv.mode is NumericMode.FLOAT:
-        return {"probability": repr(pv.value)}
-    return {"probability": repr(pv.to_float()), "log": repr(pv.value)}
+    return {name: field(pv.value) for name, field in _PROB_FIELDS[pv.mode].items()}
 
 
 def _monomial_string(tc) -> str:
@@ -89,18 +101,14 @@ def _monomial_string(tc) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _emit_csv(columns: list[str], rows: list[dict]) -> None:
-    print(CSV_COMMENT)
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(str(row.get(c, "")) for c in columns))
-
-
 def _emit(record: dict, fmt: str, columns: list[str], rows: list[dict], text) -> None:
     if fmt == "json":
         print(json.dumps(record, indent=2))
     elif fmt == "csv":
-        _emit_csv(columns, rows)
+        print(CSV_COMMENT)
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(str(row.get(c, "")) for c in columns))
     else:
         text()
 
@@ -146,77 +154,47 @@ def _term_count(k: int, n: int) -> int:
     return 2 * lim.c1 + lim.c2 + lim.c3
 
 
-def _maybe_time(record: dict, args, started: float) -> None:
-    if getattr(args, "timing", False):
-        record.setdefault("diagnostics", {})["elapsed_s"] = round(
-            time.perf_counter() - started, 6
-        )
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (exit code, record body, CSV columns, rows, text)
 # ---------------------------------------------------------------------------
 
 
-def cmd_prob(args) -> int:
-    started = time.perf_counter()
+def cmd_prob(args) -> tuple:
     mode = _resolve_mode(args)
     chain, inputs = _chain_inputs(args, mode)
     query = VisitQuery(args.n, args.k, State(args.state))
-    value = visit_probability(query, chain)
+    results = _prob_fields(visit_probability(query, chain))
     inputs.update({"k": args.k, "state": args.state})
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "prob",
+    body = {
         "inputs": inputs,
-        "results": _prob_fields(value),
+        "results": results,
         "diagnostics": {"terms": _term_count(args.k, args.n)},
     }
-    _maybe_time(record, args, started)
-
-    row = {"k": args.k, **record["results"]}
-    columns = ["k"] + [c for c in ("probability", "exact", "log") if c in row]
 
     def text() -> None:
-        extra = f" = {record['results']['exact']}" if "exact" in record["results"] else ""
+        extra = f" = {results['exact']}" if "exact" in results else ""
         print(
             f"P(N{args.state} = {args.k} | N = {args.n})"
-            f" = {record['results']['probability']}{extra}   [mode: {mode.value}]"
+            f" = {results['probability']}{extra}   [mode: {mode.value}]"
         )
 
-    _emit(record, args.format, columns, [row], text)
-    return EXIT_OK
+    return EXIT_OK, body, ["k", *_PROB_FIELDS[mode]], [{"k": args.k, **results}], text
 
 
-def _emit_distribution(
-    command: str,
-    args,
-    inputs: dict,
-    dist: VisitDistribution,
-    diagnostics: dict,
-    header: str,
-    started: float,
-) -> int:
-    """Shared output of ``dist`` and ``oracle``: one row per k plus a sum line."""
+def _distribution_output(
+    inputs: dict, dist: VisitDistribution, diagnostics: dict, header: str
+) -> tuple:
+    """Shared output of ``dist`` and ``oracle``: one row per k plus a sum row."""
     rows = [{"k": k, **_prob_fields(m)} for k, m in enumerate(dist.mass)]
     total = dist.total()
     deviation = repr(total.to_float() - 1.0)
     normalization = {**_prob_fields(total), "deviation": deviation}
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
+    body = {
         "inputs": inputs,
         "rows": rows,
         "normalization": normalization,
         "diagnostics": diagnostics,
     }
-    _maybe_time(record, args, started)
-    columns = ["k", "probability"]
-    if dist.mode is NumericMode.EXACT:
-        columns.append("exact")
-    elif dist.mode is NumericMode.LOGSPACE:
-        columns.append("log")
-    columns.append("deviation")
 
     def text() -> None:
         print(header)
@@ -225,88 +203,80 @@ def _emit_distribution(
             print(f"  k={row['k']:<4d} {row['probability']}{extra}")
         print(f"  sum = {normalization['probability']}  (deviation {deviation})")
 
-    _emit(record, args.format, columns, rows + [{"k": "sum", **normalization}], text)
-    return EXIT_OK
+    columns = ["k", *_PROB_FIELDS[dist.mode], "deviation"]
+    return EXIT_OK, body, columns, rows + [{"k": "sum", **normalization}], text
 
 
-def cmd_dist(args) -> int:
-    started = time.perf_counter()
+def cmd_dist(args) -> tuple:
     mode = _resolve_mode(args)
     chain, inputs = _chain_inputs(args, mode)
     inputs["state"] = args.state
     dist = visit_distribution(args.n, State(args.state), chain)
     terms = sum(_term_count(k, args.n) for k in range(args.n + 1))
     header = f"P(N{args.state} = k | N = {args.n})   [mode: {mode.value}]"
-    return _emit_distribution("dist", args, inputs, dist, {"terms": terms}, header, started)
+    return _distribution_output(inputs, dist, {"terms": terms}, header)
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _census_output(args, mode: NumericMode, chain: ChainSpec, inputs: dict) -> tuple:
+    """``oracle --census``: one row per S1->S0 transition count j."""
+    if args.k is None or args.initial is None or args.final is None:
+        raise ParameterError("--census requires --k, --initial and --final")
+    inputs.update({"k": args.k, "initial": args.initial, "final": args.final})
+    cells = census_by_j(args.n, args.k, State(args.initial), State(args.final), chain)
+    rows = []
+    for j, cell in cells.items():
+        tc = cell.transitions
+        rows.append(
+            {
+                "j": j,
+                "count": cell.count,
+                "n11": tc.n11,
+                "n10": tc.n10,
+                "n01": tc.n01,
+                "n00": tc.n00,
+                "monomial": _monomial_string(tc),
+                **{f"term_{name}": v for name, v in _prob_fields(cell.term).items()},
+            }
+        )
+    body = {
+        "inputs": inputs,
+        "rows": rows,
+        "diagnostics": {"paths": 2**args.n, "cells": len(rows)},
+    }
+    columns = ["j", "count", "n11", "n10", "n01", "n00", "monomial"]
+    columns += [f"term_{name}" for name in _PROB_FIELDS[mode]]
+
+    def text() -> None:
+        print(
+            f"paths {State(args.initial).name} -> ... -> {State(args.final).name}"
+            f" with {args.k} visits to S1, N = {args.n}, grouped by"
+            f" S1->S0 transition count"
+        )
+        for row in rows:
+            print(
+                f"  j={row['j']}  count={row['count']:<6d} {row['monomial']}"
+                f"  term={row['term_probability']}"
+            )
+        print(f"  total paths: {sum(r['count'] for r in rows)}")
+
+    return EXIT_OK, body, columns, rows, text
+
+
+def cmd_oracle(args) -> tuple:
     mode = _resolve_mode(args)
     chain, inputs = _chain_inputs(args, mode)
     if args.census:
-        if args.k is None or args.initial is None or args.final is None:
-            raise ParameterError("--census requires --k, --initial and --final")
-        inputs.update({"k": args.k, "initial": args.initial, "final": args.final})
-        cells = census_by_j(
-            args.n, args.k, State(args.initial), State(args.final), chain
-        )
-        rows = []
-        for j, cell in cells.items():
-            tc = cell.transitions
-            rows.append(
-                {
-                    "j": j,
-                    "count": cell.count,
-                    "n11": tc.n11,
-                    "n10": tc.n10,
-                    "n01": tc.n01,
-                    "n00": tc.n00,
-                    "monomial": _monomial_string(tc),
-                    **{f"term_{k}": v for k, v in _prob_fields(cell.term).items()},
-                }
-            )
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "oracle",
-            "inputs": inputs,
-            "rows": rows,
-            "diagnostics": {"paths": 2**args.n, "cells": len(rows)},
-        }
-        _maybe_time(record, args, started)
-        columns = ["j", "count", "n11", "n10", "n01", "n00", "monomial", "term_probability"]
-        if rows and "term_exact" in rows[0]:
-            columns.append("term_exact")
-
-        def text() -> None:
-            print(
-                f"paths {State(args.initial).name} -> ... -> {State(args.final).name}"
-                f" with {args.k} visits to S1, N = {args.n}, grouped by"
-                f" S1->S0 transition count"
-            )
-            for row in rows:
-                print(
-                    f"  j={row['j']}  count={row['count']:<6d} {row['monomial']}"
-                    f"  term={row['term_probability']}"
-                )
-            print(f"  total paths: {sum(r['count'] for r in rows)}")
-
-        _emit(record, args.format, columns, rows, text)
-        return EXIT_OK
-
+        return _census_output(args, mode, chain, inputs)
     inputs["state"] = args.state
     dist = oracle_distribution(args.n, State(args.state), chain)
     header = (
         f"enumeration: P(N{args.state} = k | N = {args.n}) over {2**args.n} paths"
         f"   [mode: {mode.value}]"
     )
-    return _emit_distribution(
-        "oracle", args, inputs, dist, {"paths": 2**args.n}, header, started
-    )
+    return _distribution_output(inputs, dist, {"paths": 2**args.n}, header)
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args) -> tuple:
     chain, inputs = _chain_inputs(args, NumericMode.FLOAT)
     inputs.update({"state": args.state, "trials": args.trials, "seed": args.seed})
     target = State(args.state)
@@ -326,16 +296,12 @@ def cmd_simulate(args) -> int:
         }
         for k, (emp, ref) in enumerate(zip(empirical.mass, reference.mass))
     ]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
+    body = {
         "inputs": inputs,
         "rows": rows,
         "results": {"counts": counts, "total_variation": repr(tv)},
         "diagnostics": {"backend": kernels.backend_name()},
     }
-    _maybe_time(record, args, started)
-    columns = ["k", "count", "frequency", "reference"]
 
     def text() -> None:
         print(
@@ -349,8 +315,7 @@ def cmd_simulate(args) -> int:
             )
         print(f"  total-variation distance vs closed form: {tv}")
 
-    _emit(record, args.format, columns, rows, text)
-    return EXIT_OK
+    return EXIT_OK, body, ["k", "count", "frequency", "reference"], rows, text
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +331,10 @@ _FLOAT_NORMALIZATION_TOL = 1e-9
 
 def _chain_label(p01: Fraction, p10: Fraction, p1: Fraction) -> str:
     return f"p01={p01} p10={p10} p1={p1}"
+
+
+def _values(dist: VisitDistribution) -> list:
+    return [m.value for m in dist.mass]
 
 
 def run_validation(n_max: int, grid: str) -> tuple[list[dict], dict]:
@@ -389,55 +358,30 @@ def run_validation(n_max: int, grid: str) -> tuple[list[dict], dict]:
             {"check": check, "chain": label, "n": n, "status": status, "detail": detail}
         )
 
+    def per_k(check: str, label: str, n: int, left: list, right: list, names: tuple):
+        """A case that two mass lists are equal at every k; its detail shows
+        the first k where they differ."""
+        bad = next((k for k, (a, b) in enumerate(zip(left, right)) if a != b), None)
+        detail = "" if bad is None else f"k={bad}: {names[0]}={left[bad]} {names[1]}={right[bad]}"
+        case(check, label, n, bad is None, detail)
+
     for p01, p10, p1 in product(values, repeat=3):
         label = _chain_label(p01, p10, p1)
         chain = build_chain(p01, p10, p1)
         swapped = swap_labels(chain)
         for n in range(1, n_max + 1):
             closed = visit_distribution(n, State.S1, chain)
-            mass = [m.value for m in closed.mass]
-
-            reference = oracle_distribution(n, State.S1, chain)
-            mismatch = next(
-                (k for k in range(n + 1) if mass[k] != reference.mass[k].value), None
-            )
-            case(
-                "oracle-equality",
-                label,
-                n,
-                mismatch is None,
-                ""
-                if mismatch is None
-                else f"k={mismatch}: closed={mass[mismatch]} oracle={reference.mass[mismatch].value}",
-            )
+            mass = _values(closed)
+            oracle = _values(oracle_distribution(n, State.S1, chain))
+            per_k("oracle-equality", label, n, mass, oracle, ("closed", "oracle"))
 
             total = closed.total().value
             case("normalization", label, n, total == 1, "" if total == 1 else f"sum={total}")
 
-            s0 = visit_distribution(n, State.S0, chain)
-            bad = next((k for k in range(n + 1) if s0.mass[k].value != mass[n - k]), None)
-            case(
-                "complement-symmetry",
-                label,
-                n,
-                bad is None,
-                "" if bad is None else f"k={bad}: S0={s0.mass[bad].value} S1[n-k]={mass[n - bad]}",
-            )
-
-            via_swap = visit_distribution(n, State.S1, swapped)
-            bad = next(
-                (k for k in range(n + 1) if s0.mass[k].value != via_swap.mass[k].value),
-                None,
-            )
-            case(
-                "label-swap-symmetry",
-                label,
-                n,
-                bad is None,
-                ""
-                if bad is None
-                else f"k={bad}: S0={s0.mass[bad].value} swapped-S1={via_swap.mass[bad].value}",
-            )
+            s0 = _values(visit_distribution(n, State.S0, chain))
+            per_k("complement-symmetry", label, n, s0, mass[::-1], ("S0", "S1[n-k]"))
+            via_swap = _values(visit_distribution(n, State.S1, swapped))
+            per_k("label-swap-symmetry", label, n, s0, via_swap, ("S0", "swapped-S1"))
 
     interior = [v for v in values if 0 < v < 1]
     for p01, p10, p1 in product(interior, repeat=3):
@@ -460,19 +404,9 @@ def run_validation(n_max: int, grid: str) -> tuple[list[dict], dict]:
     return cases, summary
 
 
-def cmd_validate(args) -> int:
-    started = time.perf_counter()
+def cmd_validate(args) -> tuple:
     cases, summary = run_validation(args.n_max, args.grid)
-    failed = summary["FAIL"]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "validate",
-        "inputs": {"n_max": args.n_max, "grid": args.grid},
-        "cases": cases,
-        "summary": summary,
-    }
-    _maybe_time(record, args, started)
-    columns = ["check", "chain", "n", "status", "detail"]
+    body = {"inputs": {"n_max": args.n_max, "grid": args.grid}, "cases": cases, "summary": summary}
 
     def text() -> None:
         print(f"validation grid={args.grid} n_max={args.n_max}: {len(cases)} cases")
@@ -486,8 +420,8 @@ def cmd_validate(args) -> int:
             f" {summary['within-tol']} within-tol, {summary['FAIL']} FAIL"
         )
 
-    _emit(record, args.format, columns, cases, text)
-    return EXIT_VALIDATION if failed else EXIT_OK
+    code = EXIT_VALIDATION if summary["FAIL"] else EXIT_OK
+    return code, body, ["check", "chain", "n", "status", "detail"], cases, text
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +504,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, body, columns, rows, text = args.func(args)
     except EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -584,6 +519,20 @@ def main(argv: list[str] | None = None) -> int:
     except VisitProbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    record = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
+    if args.timing:
+        record.setdefault("diagnostics", {})["elapsed_s"] = round(
+            time.perf_counter() - started, 6
+        )
+    try:
+        _emit(record, args.format, columns, rows, text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # exit does not raise again, and report it as a shell would SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

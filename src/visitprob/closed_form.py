@@ -77,11 +77,12 @@ A whole EXACT distribution does not sum every pair so.  As sequences in m,
 0 < m < n/2, T_A, T_B and T_C each satisfy a linear recurrence of order 2
 whose coefficients are integer polynomials in m, n, X and Y, cubic in m,
 derived by Zeilberger's creative telescoping with a certificate that a
-test checks term by term (see ``_recurrence_coefficients``).  So
-``visit_distribution`` sums by term ratios only the seeds m = 1 and 2 and
-the middle pair m = n/2, whose T_C stops at c3 = m-1 and so leaves the
-sequence, and forms each other pair's three sums from the two pairs before
-it: a few big-integer products and one exact floor division per sum, O(n)
+test checks term by term (see ``_recurrence_coefficients``); T_A and T_B
+keep to theirs through the middle pair m = n/2.  There T_C stops at
+c3 = m-1 and leaves its sequence, but rows a and b are both m-1, so
+T_C = T_B.  So ``visit_distribution`` sums by term ratios only the seeds
+m = 1 and 2 and forms each other pair's sums from the two pairs before it:
+a few big-integer products and one exact floor division per sum, O(n)
 steps where the term ratios form about 3n**2/8 terms.  The recurrence is a
 polynomial identity in X and Y and its leading coefficient is positive at
 every step, so X = 0, Y = 0 and X = Y need no fallback.  It runs in
@@ -100,7 +101,9 @@ a branch.  An interior mass reads only the shared power tables and, in
 FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, which only
 P(N1 = N-k | N) also reads.  So a distribution is
 evaluated by pairs (m, N-m), and the evaluator keeps just the two rows (or
-row prefixes) of the current pair: memory grows linearly in N.
+row prefixes) of the current pair.  The power tables, of p00 and p11 to
+N and of X and Y to N/2, hold O(N) values: O(N) floats, but in EXACT mode
+integers of up to O(N) bits each, O(N**2) bits in all.
 From N = 400 on, ``visit_distribution`` passes its evaluator to
 :func:`visitprob.split.split_masses`, which, when a second CPU is free,
 forks one child that evaluates the pairs with odd m and sends their raw
@@ -255,6 +258,8 @@ def _finite_sum(terms: list[float], n: int) -> float:
 #
 #     q0(m) * T(m) + q1(m) * T(m+1) + q2(m) * T(m+2) = 0      (m >= 1, m+2 < n/2)
 #
+# and T_A and T_B (e = 0, 1) satisfy it at m+2 = n/2 too.
+#
 #     q0 = Y**2 * m * (w-1) * (n-m-1+e)
 #     q1 = -w * (X * (w-1) * (w+1) + Y * (2m * (n-m-1) + (1-e) * (w+1)))
 #     q2 = (m+1-e) * (w+1) * (n-m-2)
@@ -273,7 +278,9 @@ def _finite_sum(terms: list[float], n: int) -> float:
 # telescopes to 0.  Both sides are integer polynomials in X and Y, so the
 # recurrence holds at X = 0, Y = 0 and X = Y too, and q2 > 0 at every step
 # taken (m+1-e >= m, w+1 > 2 and n-m-2 > m): no step needs a fallback.
-# The middle pair m = n/2 is off the sequence: its T_C has c = m-1, not m.
+# At the middle pair m+2 = n/2, T_C has c = m+1, one less than its sequence
+# asks, so the step gives Y * T_C there; rows a and b are both m+1, so
+# T_C = T_B instead.
 
 # e = d1 - d2 of T_A, T_B and T_C.
 _SHIFTS = (0, 1, -1)
@@ -291,19 +298,20 @@ def _recurrence_coefficients(m: int, n: int, x: int, y: int, e: int) -> tuple[in
 
 class _Evaluator:
     """Shared per-call state in raw payloads (numerators in EXACT mode):
-    powers 0..n of p00..p11 and 0..n/2 of X = p01*p10 and Y = p00*p11, the
-    boundary conditionals, ``_combine`` and ``_add`` from the mode's
-    ``numerics.ARITHMETIC``, its branch scales and start weights, its pair
-    sum ``_sum`` over two binomial rows, and ``_sequence``, which gives the
-    pair sums of a run of pairs: EXACT sums one pair by term ratios, so its
-    rows are their indices, and a run by the recurrence in m; FLOAT and
-    LOGSPACE keep the mode's row builder and reduction and sum every pair
-    alone.  ``_pair`` evaluates every interior k, alone or with its mirror
-    n-k."""
+    powers 0..n of p00 and p11, p01 and p10 themselves, powers 0..n/2 of
+    X = p01*p10 and Y = p00*p11, the boundary conditionals, ``_combine``
+    and ``_add`` from the mode's ``numerics.ARITHMETIC``, its branch scales
+    and start weights, its pair sum ``_sum`` over two binomial rows, and
+    ``_sequence``, which gives the pair sums of a run of pairs: EXACT sums
+    one pair by term ratios, so its rows are their indices, and a run by the
+    recurrence in m; FLOAT and LOGSPACE keep the mode's row builder and
+    reduction and sum every pair alone.  ``_pair`` evaluates every interior
+    k, alone or with its mirror n-k."""
 
     __slots__ = (
-        "chain", "n", "mode", "terms_evaluated", "_pows", "_xy_pows", "_ends", "_combine",
-        "_add", "_scales", "_weights", "_sure", "_sum", "_sequence", "_row", "_reduce",
+        "chain", "n", "mode", "terms_evaluated", "_pows", "_cross", "_xy_pows", "_ends",
+        "_combine", "_add", "_scales", "_weights", "_sure", "_sum", "_sequence", "_row",
+        "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -346,7 +354,8 @@ class _Evaluator:
                 )
                 self._reduce = ar.total
         p00, p01, p10, p11 = bases
-        self._pows = [ar.powers(b, n) for b in bases]
+        # _pair reads every power of p00 and p11 but only p01 and p10 themselves.
+        self._pows, self._cross = [ar.powers(p00, n), ar.powers(p11, n)], (p10, p01)
         self._xy_pows = [ar.powers(b, n // 2) for b in (ar.mul(p01, p10), ar.mul(p00, p11))]
         # Raw P(k | S1) and P(k | S0) at k = 0 and n: only the all-S0 or the
         # all-S1 path is left, scaled like a branch that ends in S0 or S1.
@@ -375,32 +384,32 @@ class _Evaluator:
     def _recurrence_sums(self, ms: range):
         """EXACT (m, (T_A, T_B, T_C)) for each m in ``ms``, in increasing m.
 
-        The seeds m = 1, 2 and the middle pair m = n/2 come from
-        ``_pair_sums``; every other m below n/2 takes one step of each sum's
-        recurrence in m (see ``_recurrence_coefficients``) from the two pairs
-        before it, which counts one in ``terms_evaluated`` per sum.  So the
-        recurrence runs through every m up to the last in ``ms``, and only
-        the last two triples are kept.
+        The seeds m = 1, 2 come from ``_pair_sums``; every other m up to
+        n/2 takes its sums from the two pairs before it, one step of each
+        sum's recurrence in m (see ``_recurrence_coefficients``), and counts
+        three in ``terms_evaluated``.  At the middle pair m = n/2 only T_A
+        and T_B step, and T_C = T_B.  So the recurrence runs through every m
+        up to the last in ``ms``, and only the last two triples are kept.
         """
         if not ms:
             return
-        n, top = self.n, ms[-1]
+        n = self.n
         x, y = self._xy_pows[0][1], self._xy_pows[1][1]
-        last = min(top, (n - 1) // 2)
         older = newer = ()
-        for m in range(1, last + 1):
+        for m in range(1, ms[-1] + 1):
             if m < 3:
                 sums = self._pair_sums(m)
             else:
                 self.terms_evaluated += 3
+                middle = 2 * m == n
                 coefficients = functools.partial(_recurrence_coefficients, m - 2, n, x, y)
-                steps = zip(map(coefficients, _SHIFTS), older, newer)
+                steps = zip(map(coefficients, _SHIFTS[: 3 - middle]), older, newer)
                 sums = tuple(-(q0 * t0 + q1 * t1) // q2 for (q0, q1, q2), t0, t1 in steps)
+                if middle:
+                    sums += sums[1:]
             older, newer = newer, sums
             if m in ms:
                 yield m, sums
-        if top > last:  # the middle pair m = n/2
-            yield top, self._pair_sums(top)
 
     def _pair(self, ks: tuple[int, ...], sums: tuple | None = None) -> list[tuple]:
         """The four interior sums of each k in ``ks``, in the order of
@@ -417,7 +426,7 @@ class _Evaluator:
         t_a, t_b, t_c = self._pair_sums(m) if sums is None else sums
         c3 = _branch_limit(*_LIMIT_OFFSETS[2], m, n)
         op = self._combine
-        pow00, pow01, pow10, pow11 = self._pows
+        (pow00, pow11), (p10, p01) = self._pows, self._cross
         branches = []
         for k in ks:
             # At k = n-m the powers of p00 and p11 trade places, and T_B and
@@ -427,7 +436,7 @@ class _Evaluator:
             short = op(q0[n - 2 * m + 1], t_b)
             long = op(op(q0[n - m - 1 - c3], q1[m - c3]), t_c)
             same1, same0 = (short, long) if k == m else (long, short)
-            branches.append((op(pow10[1], cross), same1, op(pow01[1], cross), same0))
+            branches.append((op(p10, cross), same1, op(p01, cross), same0))
         return branches
 
     def _sliced_sum(self, row_a: list, row_b: list, c: int, d1: int, d2: int):

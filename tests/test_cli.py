@@ -19,16 +19,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(*argv):
-    """``python -m visitprob`` in a fresh interpreter that imports the same
+def module_env():
+    """The environment of a fresh interpreter that imports the same
     visitprob as this process, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
+    """``python -m visitprob`` in a fresh interpreter (``module_env``)."""
     return subprocess.run(
         [sys.executable, "-m", "visitprob", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
     )
 
 
@@ -122,15 +127,45 @@ class TestDist:
         assert [r["exact"] for r in closed_rows] == [r["exact"] for r in brute_rows]
 
     def test_csv_is_projection_of_json(self, capsys):
-        _, jtext, _ = run_cli(capsys, "dist", *GENERIC, "--n", "5", "--format", "json")
-        _, ctext, _ = run_cli(capsys, "dist", *GENERIC, "--n", "5", "--format", "csv")
-        record = json.loads(jtext)
-        lines = ctext.strip().splitlines()
-        header = lines[1].split(",")
-        for row_dict, line in zip(record["rows"], lines[2:]):
-            values = dict(zip(header, line.split(",")))
-            assert values["probability"] == row_dict["probability"]
-            assert values["exact"] == row_dict["exact"]
+        """Column by column, CSV prints each JSON row's fields and an empty
+        cell where a row has none (every ``dist`` and ``oracle`` row but the
+        sum row has no deviation), for prob, dist, oracle and the census in
+        every mode.  A census with no matching path prints the header of one
+        with paths: the term fields come from the mode, not from a row."""
+        census = ["oracle", "--census", *GENERIC, "--n", "4", "--initial", "1", "--final", "0"]
+        runs = {
+            "prob": ["prob", *GENERIC, "--n", "5", "--k", "2"],
+            "dist": ["dist", *GENERIC, "--n", "5"],
+            "oracle": ["oracle", *GENERIC, "--n", "5"],
+            "census": [*census, "--k", "2"],
+            "empty census": [*census, "--k", "0"],
+        }
+        for mode in ("exact", "float", "logspace"):
+            headers, empty_cells = {}, 0
+            for name, argv in runs.items():
+                argv = [*argv, "--mode", mode]
+                _, jtext, _ = run_cli(capsys, *argv, "--format", "json")
+                _, ctext, _ = run_cli(capsys, *argv, "--format", "csv")
+                record = json.loads(jtext)
+                if name == "prob":
+                    rows = [{"k": record["inputs"]["k"], **record["results"]}]
+                elif name in ("dist", "oracle"):
+                    rows = [*record["rows"], {"k": "sum", **record["normalization"]}]
+                else:
+                    rows = record["rows"]
+                comment, header, *lines = ctext.splitlines()
+                assert comment == "# visitprob schema 1"
+                headers[name] = header = header.split(",")
+                assert len(lines) == len(rows)
+                for row, line in zip(rows, lines):
+                    assert set(row) <= set(header)
+                    cells = line.split(",")
+                    assert cells == [str(row.get(column, "")) for column in header]
+                    empty_cells += cells.count("")
+            assert headers["empty census"] == headers["census"]
+            assert headers["census"][-1] == {"exact": "term_exact", "float": "term_probability",
+                                             "logspace": "term_log"}[mode]
+            assert empty_cells > 0
 
     def test_normalization_row(self, capsys):
         _, out, _ = run_cli(capsys, "dist", *GENERIC, "--n", "6", "--format", "json")
@@ -268,7 +303,7 @@ def test_term_count_is_the_evaluators_count(mode, n):
     pair sums: the S1->S0 and S0->S1 branches share one sum of c1 terms,
     formed once for both masses, so the pair evaluates the count of either
     mass less c1.  A whole distribution sums every pair so in FLOAT and
-    LOGSPACE; EXACT sums only the pairs m = 1, 2 and n/2 so and counts one
+    LOGSPACE; EXACT sums only the pairs m = 1 and 2 so and counts one
     recurrence step per sum for every other m, so ``diagnostics.terms``
     counts the formula's terms, not the engine's work."""
     ev = _Evaluator(build_chain("3/10", "2/5", "1/2", mode), n)
@@ -282,7 +317,7 @@ def test_term_count_is_the_evaluators_count(mode, n):
         evaluated = ev.terms_evaluated - before
         shared = summation_limits(m, n).c1
         assert cli._term_count(m, n) == cli._term_count(n - m, n) == evaluated + shared
-    alone = [m for m in pairs if mode is not NumericMode.EXACT or m < 3 or 2 * m == n]
+    alone = [m for m in pairs if mode is not NumericMode.EXACT or m < 3]
     before = ev.terms_evaluated
     _pair_masses(ev, pairs)
     assert ev.terms_evaluated - before == sum(
@@ -306,6 +341,25 @@ def test_module_entry_point():
     proc = run_module("prob", *SYM, "--n", "4", "--k", "2", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["exact"] == "3/8"
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that stops after one line, as ``| head -1`` does, ends the
+    run with 141 (128 + SIGPIPE, as a shell reports it) and no traceback,
+    not with 1, which means a validation failure.  The record (about
+    280 KiB) is far larger than a pipe's buffer, so the write does fail."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "visitprob", "dist", *GENERIC, "--n", "390",
+         "--mode", "exact", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), first, err) == (141, b"{\n", b"")
 
 
 # One process runs these in order through cli.main, which reuses one parser.

@@ -37,7 +37,7 @@ from visitprob.closed_form import (
     visit_probability,
 )
 from visitprob.errors import NumericalError, ParameterError
-from visitprob.numerics import NumericMode, ProbValue, pow_prob
+from visitprob.numerics import ARITHMETIC, NumericMode, ProbValue, pow_prob
 from visitprob.oracle import oracle_distribution
 
 GENERIC = ("3/10", "2/5", "1/2")
@@ -123,13 +123,15 @@ def reference_row(mode, m):
 def reference_interior_terms(ev, start, final, k):
     """The per-j loop of one branch, run to j = n: term j of one branch,
     skipping j past either binomial row (the zero-extended binomials).  It
-    builds whole rows itself; in EXACT mode the factors, the evaluator's
-    numerator powers among them, are multiplied."""
+    builds whole rows itself, and the powers of p01 and p10 from the
+    evaluator's bases; in EXACT mode the factors, the evaluator's numerator
+    powers of p00 and p11 among them, are multiplied."""
     n = ev.n
     o1, o2, o00, o01, o10, o11 = _OFFSETS[start, final]
     row1, row2 = reference_row(ev.mode, k - 1), reference_row(ev.mode, n - k - 1)
     op = ev._combine
-    pow00, pow01, pow10, pow11 = ev._pows
+    pow00, pow11 = ev._pows
+    pow10, pow01 = (ARITHMETIC[ev.mode].powers(b, n) for b in ev._cross)
     out = []
     for j in range(1, n + 1):
         r1, r2 = j + o1, j + o2
@@ -492,14 +494,12 @@ class TestSymmetries:
 
 def recurrence_count(n, ms):
     """What EXACT ``_sequence`` over ``ms`` adds to ``terms_evaluated``: the
-    c1 + c2 + c3 terms of each pair it sums alone (m = 1, 2, and n/2 when
-    ``ms`` ends there) and one per sum for every m it steps to by the
-    recurrence (3 <= m < n/2, up to the last m in ``ms``)."""
-    top = ms[-1] if ms else 0
-    run = range(1, min(top, (n - 1) // 2) + 1)
-    alone = [m for m in run if m < 3] + ([top] if 2 * top == n else [])
-    stepped = len(run) - sum(m < 3 for m in run)
-    return sum(sum(astuple(summation_limits(m, n))) for m in alone) + 3 * stepped
+    c1 + c2 + c3 terms of each pair it sums alone (m = 1, 2) and three for
+    every m it takes from the recurrence (3 <= m <= n/2, up to the last m in
+    ``ms``)."""
+    run = range(1, (ms[-1] if ms else 0) + 1)
+    alone = [m for m in run if m < 3]
+    return sum(sum(astuple(summation_limits(m, n))) for m in alone) + 3 * (len(run) - len(alone))
 
 
 def assert_exact_branches_match_reference(ev):
@@ -656,7 +656,44 @@ def telescoping_points(draw):
     x = draw(st.one_of(st.just(y), st.just(0), xy_values))
     return n, m, i, x, y
 
+
+@st.composite
+def middle_pair_points(draw):
+    """(n, m, i, X, Y) with n even and m+2 = n/2, the step to the middle pair."""
+    n = 2 * draw(st.integers(min_value=3, max_value=200))
+    m = n // 2 - 2
+    i = draw(st.integers(min_value=0, max_value=m + 3))
+    y = draw(xy_values)
+    x = draw(st.one_of(st.just(y), st.just(0), xy_values))
+    return n, m, i, x, y
+
+
+def assert_telescopes(point, shifts):
+    """q0 F(m, i) + q1 F(m+1, i) + q2 F(m+2, i) = G(m, i+1) - G(m, i) in
+    integers for each sum whose e = d1 - d2 is in ``shifts``, with G = R * F
+    wherever F(m, i) != 0."""
+    n, m, i, x, y = point
+    for (d1, d2), e in zip(((0, 0), (1, 0), (0, 1)), _SHIFTS):
+        assert d1 - d2 == e
+        if e not in shifts:
+            continue
+        q = _recurrence_coefficients(m, n, x, y, e)
+        left = sum(q[j] * pair_summand(m + j, i, n, x, y, d1, d2) for j in range(3))
+        g0, g1 = (certificate_term(m, i + s, n, x, y, d1, d2) for s in (0, 1))
+        assert left == g1 - g0
+        f = pair_summand(m, i, n, x, y, d1, d2)
+        if f:
+            assert certificate_ratio(m, i, n, y, d1, d2) * f == g0
+
+
 GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+# X = 0, Y = 0, X = Y (numerators 1 and 1, 3 and 3, 999 and 999) and generic.
+MIDDLE_PAIR_CHAINS = [
+    GENERIC, SKEWED, ("0", "1/2", "1/2"), ("0", "0", "1/2"), ("1", "1/2", "1/2"),
+    ("1", "1", "1/2"), ("1/2", "1/2", "1/2"), ("3/4", "1/4", "1/2"),
+    ("1/1000", "999/1000", "1/2"), ("1/3", "2/7", "1/5"),
+]
 
 
 class TestPairSumRecurrence:
@@ -669,27 +706,43 @@ class TestPairSumRecurrence:
     @example((40, 10, 11, 0, 5))
     @example((40, 10, 9, 5, 0))
     def test_recurrence_telescopes_term_by_term(self, point):
-        """q0 F(m, i) + q1 F(m+1, i) + q2 F(m+2, i) = G(m, i+1) - G(m, i) in
-        integers for each sum, at X = Y, X = 0 and Y = 0 too, with
-        G = R * F wherever F(m, i) != 0."""
-        n, m, i, x, y = point
-        for (d1, d2), e in zip(((0, 0), (1, 0), (0, 1)), _SHIFTS):
-            assert d1 - d2 == e
-            q = _recurrence_coefficients(m, n, x, y, e)
-            left = sum(q[j] * pair_summand(m + j, i, n, x, y, d1, d2) for j in range(3))
-            g0, g1 = (certificate_term(m, i + s, n, x, y, d1, d2) for s in (0, 1))
-            assert left == g1 - g0
-            f = pair_summand(m, i, n, x, y, d1, d2)
-            if f:
-                assert certificate_ratio(m, i, n, y, d1, d2) * f == g0
+        """The certificate identity of every sum, at X = Y, X = 0 and Y = 0
+        too (``assert_telescopes``)."""
+        assert_telescopes(point, _SHIFTS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(middle_pair_points())
+    @example((6, 1, 0, 1, 1))
+    @example((40, 18, 19, 0, 5))
+    @example((40, 18, 17, 5, 0))
+    def test_recurrence_telescopes_to_the_middle_pair(self, point):
+        """T_A and T_B (e = 0, 1) keep to the recurrence on the step
+        m+2 = n/2 that reaches the middle pair; T_C does not, and is T_B."""
+        assert_telescopes(point, (0, 1))
 
     def test_recurrence_leading_coefficient_is_positive_at_every_step(self):
-        """T(m) for 3 <= m < n/2 divides by q2(m-2), which depends on m and n
-        only; it is never 0, so no step falls back to ``_pair_sums``."""
+        """T(m) for 3 <= m <= n/2 divides by q2(m-2), which depends on m and
+        n only; it is never 0, so no step falls back to ``_pair_sums``.  At
+        m = n/2 only T_A and T_B step."""
         for n in range(7, 500):
-            for m in range(3, (n - 1) // 2 + 1):
-                for e in _SHIFTS:
+            for m in range(3, n // 2 + 1):
+                for e in _SHIFTS if 2 * m < n else _SHIFTS[:2]:
                     assert _recurrence_coefficients(m - 2, n, 1, 1, e)[2] > 0
+
+    @pytest.mark.parametrize("n", [*range(6, 41, 2), 200, 400])
+    def test_recurrence_reaches_the_middle_pair(self, n):
+        """At m = n/2 the recurrence gives the T_A and T_B that term ratios
+        give, and T_C, whose rows a and b are both m-1, equals T_B: for
+        every pair sequence ending there (the whole run, and the even m of
+        one process of the split) on X = 0, Y = 0 and X = Y chains too."""
+        middle = n // 2
+        for params in MIDDLE_PAIR_CHAINS:
+            ev = _Evaluator(build_chain(*params), n)
+            t_a, t_b, t_c = ev._pair_sums(middle)
+            assert t_c == t_b
+            for ms in (range(1, middle + 1), range(2, middle + 1, 2)):
+                if ms[-1] == middle:
+                    assert list(ev._sequence(ev, ms))[-1] == (middle, (t_a, t_b, t_b))
 
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 9, 40, 41, 199, 200])
     def test_recurrence_equals_pair_sums_on_grid(self, n):
