@@ -60,8 +60,13 @@ transitions out of S0 and out of S1 (both independent of j).  A branch
 ending in S0 has a = n-k-1 and b = k, one ending in S1 a = n-k and
 b = k-1, so scaling the first by d0 and the second by d1 puts all four
 branches of one k over d0**(n-k) * d1**k.  Weighted by the numerators of p1
-and p0, they make one integer over w * d0**(n-k) * d1**k: one ``Fraction``
-(one gcd) per k, equal to the sum of the per-term fractions.
+and p0, they make one integer over D_k = w * d0**(n-k) * d1**k: one
+``Fraction`` per k, equal to the sum of the per-term fractions.  No prime
+outside s = w * d0 * d1 divides D_k, so ``_lowest_terms`` reduces the pair
+by common factors of s, each found by a gcd with the small s and removed in
+linear time, and hands ``Fraction`` the coprime pair, which it takes as it
+is: no gcd of two full-size integers.  A distribution takes each D_k from
+the one before (D_{k+1} = D_k // d0 * d1), not by two powers per k.
 
 Each EXACT pair sum is a terminating hypergeometric sum, summed by term
 ratios with no binomial table (Petkovsek, Wilf and Zeilberger, A = B,
@@ -118,10 +123,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from visitprob.chain_model import (
     ChainSpec,
@@ -250,6 +256,43 @@ def _finite_sum(terms: list[float], n: int) -> float:
             f"N={FLOAT_MAX_HORIZON}); use logspace mode (--mode logspace)"
         )
     return total
+
+
+class _Coprime(numbers.Rational):
+    """A numerator and a positive denominator with no common factor.  Given
+    a ``numbers.Rational`` alone, ``Fraction`` copies its two parts and takes
+    no gcd, so ``Fraction(_Coprime(p, q))`` is the canonical p/q."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+# Only Fraction reads a _Coprime, and only its two parts, so it defines none
+# of the arithmetic that numbers.Rational declares abstract.  It subclasses
+# numbers.Rational rather than registering with it: the ABC caches a
+# subclass for isinstance but looks a registered class up on every call.
+_Coprime.__abstractmethods__ = frozenset()
+
+
+def _lowest_terms(num: int, den: int, s: int) -> Fraction:
+    """``Fraction(num, den)`` for num >= 0 and den > 0 where every prime
+    factor of den divides s, with no gcd of two full-size integers.
+
+    Each pass takes g = gcd(num, s, den), two O(size) remainders by a small
+    s and g, and divides num and den by the largest g**(2**i) that divides
+    both, so a prime that divides them many times takes few passes.  When
+    g = 1, no prime of s, and so none of den, divides both.
+    """
+    if not num:
+        return Fraction(0)
+    while (g := math.gcd(num, s, den)) > 1:
+        while not (num % (h := g * g) or den % h):
+            g = h
+        num //= g
+        den //= g
+    return Fraction(_Coprime(num, den))
 
 
 # The EXACT pair sum T(c, d1, d2) of pair m has c = m - d1 for 0 < m < n/2,
@@ -494,12 +537,26 @@ class _Evaluator:
         return add(op(u1, s1), op(u0, s0))
 
     def _prob(self, raw, k: int) -> ProbValue:
-        """The ``ProbValue`` of a raw mass of k; EXACT makes one ``Fraction``
-        (one gcd) of its numerator over w * d0**(n-k) * d1**k."""
+        """The ``ProbValue`` of a raw mass of k; EXACT puts its numerator
+        over w * d0**(n-k) * d1**k in lowest terms with ``_lowest_terms``."""
         if self.mode is NumericMode.EXACT:
             d0, d1 = self._scales
-            raw = Fraction(raw, self._sure * d0 ** (self.n - k) * d1**k)
+            w = self._sure
+            raw = _lowest_terms(raw, w * d0 ** (self.n - k) * d1**k, w * d0 * d1)
         return ProbValue(self.mode, raw)
+
+    def _probs(self, raws: list) -> list[ProbValue]:
+        """The ``ProbValue``s of the raw masses of k = 0..n, each as ``_prob``
+        makes it; EXACT takes each denominator from the one before, since
+        w * d0**(n-k-1) * d1**(k+1) = w * d0**(n-k) * d1**k // d0 * d1."""
+        if self.mode is NumericMode.EXACT:
+            d0, d1 = self._scales
+            w = self._sure
+            dens = accumulate(
+                repeat(d1, self.n), lambda den, d1: den // d0 * d1, initial=w * d0**self.n
+            )
+            raws = map(_lowest_terms, raws, dens, repeat(w * d0 * d1))
+        return list(map(ProbValue, repeat(self.mode), raws))
 
     def conditional(self, start: State, k: int) -> ProbValue:
         """P(exactly k visits to S1 | trajectory starts in ``start``)."""
@@ -520,27 +577,28 @@ class _Evaluator:
 # (visitprob.split).  On a 2-core VM, when the second core is busy, the fork
 # and a child that starts 2-6 ms late cost up to 25 % at N = 200-400 and
 # about 10 % from N = 400 on.  With it idle, serial -> split, medians of 15,
-# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: the split forced on at
-# N = 200, medians of 15 from two runs, and of 3 at N = 2000):
-#   EXACT     N = 200   0.0026-0.0041 -> 0.0041-0.0056 s
-#             N = 400   0.0076-0.0120 -> 0.0091-0.0117 s
-#             N = 1000  0.048-0.053 -> 0.053-0.066 s
-#             N = 2000  0.25-0.35 -> 0.32-0.33 s
+# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: medians of 15, 9 and 5
+# runs from two sessions, chain 3/10, 2/5, 1/2, then 13/97, 41/89, 29/83):
+#   EXACT     N = 400   0.0048-0.0049 -> 0.0075-0.0091 s, 0.0061-0.0063 -> 0.0098-0.0100 s
+#             N = 1000  0.022-0.030 -> 0.030 s,          0.041-0.064 -> 0.053-0.059 s
+#             N = 2000  0.088-0.127 -> 0.10-0.16 s,      0.22-0.31 -> 0.13-0.20 s
 #   FLOAT     N = 200   0.006-0.008 -> 0.006-0.009 s
 #             N = 400   0.016-0.018 -> 0.013-0.016 s
 #             N = 1000  0.092-0.093 -> 0.057-0.062 s
 #   LOGSPACE  N = 200   0.007-0.011 -> 0.009-0.011 s
 #             N = 400   0.023-0.032 -> 0.017-0.021 s
 #             N = 1000  0.11-0.16 -> 0.074-0.094 s
-# Since EXACT takes its pair sums from the recurrence in m, its split saves
-# nothing up to N = 1000: what is left is mostly the Fractions, and the
-# parent builds all of them.  One threshold serves every mode.
+# EXACT takes its pair sums from the recurrence in m and reduces each mass
+# against w * d0 * d1, so its split costs time at N = 400, breaks even near
+# N = 1000 and gains only at N = 2000 on the second chain: both processes run
+# the whole recurrence, and the parent builds every Fraction.  One threshold
+# serves every mode.
 _SPLIT_MIN_HORIZON = 400
 
 
 def _pair_masses(ev: _Evaluator, ms: range) -> dict[int, object]:
     """{k: raw P(N1 = k)} for k = m and k = n-m, for each 0 < m <= n/2 in
-    ``ms`` (increasing), as ``_Evaluator._prob`` reads them.
+    ``ms`` (increasing), as ``_Evaluator._probs`` reads them.
 
     The mode's ``_sequence`` gives the three pair sums of each m in ``ms``,
     and one ``_Evaluator._pair`` call derives both masses of the pair from
@@ -581,9 +639,9 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
     LOGSPACE, the binomial rows of the current pair (k, N-k).  Each pair's
     raw masses come from its three pair sums, and those of k = 0 and k = N
     from p00**(N-1) and p11**(N-1), through the same raw assembly; each mass
-    becomes one ``ProbValue`` (in EXACT mode one ``Fraction`` of an integer
-    numerator over w * d0**(N-k) * d1**k).  Target S0 reverses the masses
-    of S1.
+    becomes one ``ProbValue`` (in EXACT mode the ``Fraction`` of an integer
+    numerator over w * d0**(N-k) * d1**k, put in lowest terms by
+    ``_lowest_terms``).  Target S0 reverses the masses of S1.
     """
     _check_state(target, "target")
     ev = _Evaluator(chain, n)
@@ -596,7 +654,7 @@ def visit_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribu
     else:
         raw = _pair_masses(ev, range(1, n // 2 + 1))
     raw[0], raw[n] = ev._mass(ev._starts(0)), ev._mass(ev._starts(n))
-    mass = [ev._prob(raw[k], k) for k in range(n + 1)]
+    mass = ev._probs([raw[k] for k in range(n + 1)])
     if target is State.S0:
         mass.reverse()  # the complement identity of visit_probability
     return VisitDistribution(horizon_n=n, target=target, mode=chain.mode, mass=tuple(mass))

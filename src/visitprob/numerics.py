@@ -83,7 +83,7 @@ class ProbValue:
         if self.mode is NumericMode.EXACT:
             if not isinstance(self.value, Fraction):
                 object.__setattr__(self, "value", Fraction(self.value))
-            if self.value < 0:
+            if self.value.numerator < 0:
                 raise ParameterError(f"exact value must be >= 0, got {self.value}")
         elif self.mode is NumericMode.FLOAT:
             v = float(self.value)

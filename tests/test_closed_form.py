@@ -27,6 +27,8 @@ from visitprob.closed_form import (
     _SPLIT_MIN_HORIZON,
     FLOAT_MAX_HORIZON,
     _Evaluator,
+    _lowest_terms,
+    _pair_masses,
     _recurrence_coefficients,
     moments,
     prob_given_start_s0,
@@ -911,6 +913,85 @@ class TestExactReduction:
             assert list(map(fraction_parts, got)) == list(map(fraction_parts, want))
 
 
+def raw_exact_masses(chain, n):
+    """(raw numerator, w * d0**(n-k) * d1**k) of P(N1 = k) for k = 0..n,
+    from the serial pair loop and the boundary assembly."""
+    ev = _Evaluator(chain, n)
+    raw = _pair_masses(ev, range(1, n // 2 + 1))
+    raw[0], raw[n] = ev._mass(ev._starts(0)), ev._mass(ev._starts(n))
+    w, d0, d1 = (p.value.denominator for p in (chain.p1, chain.p01, chain.p10))
+    return [(raw[k], w * d0 ** (n - k) * d1**k) for k in range(n + 1)]
+
+
+def assert_canonical_masses(chain, n, single_k=True):
+    """Every S1 mass of ``visit_distribution`` (and, if ``single_k``, of
+    ``visit_probability``) is a ``Fraction`` with the numerator and
+    denominator of ``Fraction(raw, D_k)`` formed here."""
+    want = [fraction_parts(Fraction(num, den)) for num, den in raw_exact_masses(chain, n)]
+    masses = [visit_distribution(n, State.S1, chain).mass]
+    if single_k:
+        ev = _Evaluator(chain, n)
+        masses.append([ev.visit_probability(k, State.S1) for k in range(n + 1)])
+    for got in masses:
+        assert [type(m.value) for m in got] == [Fraction] * (n + 1)
+        assert [fraction_parts(m.value) for m in got] == want
+
+
+# Chains whose masses reduce far: a zero transition or initial probability,
+# and the uniform chain, whose masses are binomial counts over 2**N.
+CANONICAL_CHAINS = {
+    "p01=0": (0, "2/5", "1/3"),
+    "p10=0": ("3/10", 0, "1/3"),
+    "p1=0": ("3/10", "2/5", 0),
+    "p1=1": ("3/10", "2/5", 1),
+    "uniform": ("1/2", "1/2", "1/2"),
+    "p00=p11=0": (1, 1, "1/3"),
+}
+
+# Factors of w, d0 and d1: 1, prime powers and products of them.
+DENOMINATOR_PARTS = [1, 2, 3, 4, 6, 8, 9, 10, 12, 16, 25, 83, 89, 97, 100, 1024]
+
+
+class TestLowestTerms:
+    """``_lowest_terms`` reduces against s = w * d0 * d1 and builds the
+    ``Fraction`` from a coprime pair, with no gcd of two full-size integers."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(DENOMINATOR_PARTS),
+        st.sampled_from(DENOMINATOR_PARTS),
+        st.sampled_from(DENOMINATOR_PARTS),
+        st.integers(min_value=0, max_value=80),
+        st.one_of(st.sampled_from(["first", "last"]), st.integers(min_value=0, max_value=80)),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=10**40)),
+        st.tuples(*[st.integers(min_value=0, max_value=240)] * 3),
+    )
+    @example(1, 1, 1, 7, 3, 12345, (0, 0, 0))  # w = d0 = d1 = 1: s = 1, no pass
+    @example(2, 10, 5, 30, 4, 0, (0, 0, 0))  # num = 0
+    @example(16, 1024, 8, 60, "first", 3, (0, 240, 0))  # k = 0: no d1 in D_k
+    @example(9, 97, 1024, 60, "last", 7, (5, 0, 240))  # k = N: no d0 in D_k
+    @example(12, 100, 6, 80, 40, 10**40, (240, 240, 240))  # every prime many times
+    def test_equals_fraction_of_num_over_den(self, w, d0, d1, n, k, base, powers):
+        """num = base * w**a * d0**b * d1**c, a multiple of high powers of
+        the primes of s, over D_k = w * d0**(n-k) * d1**k; k = 0 and k = n
+        drawn often."""
+        k = {"first": 0, "last": n}.get(k, k)
+        k = min(k, n)
+        a, b, c = powers
+        num, den = base * w**a * d0**b * d1**c, w * d0 ** (n - k) * d1**k
+        got, want = _lowest_terms(num, den, w * d0 * d1), Fraction(num, den)
+        assert type(got) is Fraction
+        assert fraction_parts(got) == fraction_parts(want)
+        assert hash(got) == hash(want) and got + 0 == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 200])
+    @pytest.mark.parametrize(
+        "params", list(CANONICAL_CHAINS.values()), ids=list(CANONICAL_CHAINS)
+    )
+    def test_degenerate_chains_give_canonical_masses(self, params, n):
+        assert_canonical_masses(build_chain(*params), n, single_k=n <= 40)
+
+
 # One transition probability, or two, is 0: P00*P11 = 0 (the ratio loop's
 # divisor) or P01*P10 = 0 (its multiplier).
 DEGENERATE_CHAINS = {
@@ -1081,6 +1162,13 @@ class TestSplitDistribution:
     def test_split_masses_equal_serial_loop(self, mode, n, target):
         chain = build_chain(*SKEWED, mode)
         assert distribution_masses(chain, n, target) == serial_masses(chain, n, target)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("params", [GENERIC, SKEWED], ids=["generic", "skewed"])
+    def test_split_exact_masses_are_fractions_of_raw_numerators(self, params):
+        """At N = 1000 the parent puts every raw numerator, the child's
+        among them, over w * d0**(N-k) * d1**k in lowest terms."""
+        assert_canonical_masses(build_chain(*params), 1000, single_k=False)
         assert_no_child_left()
 
     @pytest.mark.parametrize("split_on", [True, False], ids=["split", "serial"])
