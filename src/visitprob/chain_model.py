@@ -14,7 +14,7 @@ additional visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 
@@ -77,40 +77,41 @@ class TransitionCounts:
         return getattr(self, f"n{src.value}{dst.value}")
 
 
-_ROW_TOLERANCE = 1e-12
-
-
 @dataclass(frozen=True, slots=True)
 class ChainSpec:
-    """A validated two-state chain; all six probabilities share one backend."""
+    """A validated two-state chain from its three free parameters.
 
-    mode: NumericMode
-    p0: ProbValue
-    p1: ProbValue
-    p00: ProbValue
+    ``p01``, ``p10`` and ``p1`` accept anything
+    :func:`~visitprob.numerics.parse_probability` reads (strings as
+    ``"a/b"`` or decimal, read exactly).  They are kept as ``Fraction``s in
+    ``exact``, the complements are formed from them in exact arithmetic,
+    and only then is each of the six probabilities converted to ``mode``.
+    """
+
     p01: ProbValue
     p10: ProbValue
-    p11: ProbValue
+    p1: ProbValue
+    mode: NumericMode = NumericMode.EXACT
+    exact: tuple[Fraction, Fraction, Fraction] = field(init=False, compare=False)
+    p0: ProbValue = field(init=False)
+    p00: ProbValue = field(init=False)
+    p11: ProbValue = field(init=False)
 
     def __post_init__(self) -> None:
-        fields = (self.p0, self.p1, self.p00, self.p01, self.p10, self.p11)
-        for v in fields:
-            if v.mode is not self.mode:
-                raise ParameterError(
-                    f"chain field in mode {v.mode.value} does not match chain mode "
-                    f"{self.mode.value}"
-                )
-        for a, b, label in (
-            (self.p00, self.p01, "p00+p01"),
-            (self.p10, self.p11, "p10+p11"),
-            (self.p0, self.p1, "p0+p1"),
+        e01, e10, e1 = exact = tuple(
+            parse_probability(raw, NumericMode.EXACT, name=name).value
+            for name, raw in (("p01", self.p01), ("p10", self.p10), ("p1", self.p1))
+        )
+        object.__setattr__(self, "exact", exact)
+        for name, value in (
+            ("p0", 1 - e1),
+            ("p1", e1),
+            ("p00", 1 - e01),
+            ("p01", e01),
+            ("p10", e10),
+            ("p11", 1 - e10),
         ):
-            s = a.to_float() + b.to_float()
-            if self.mode is NumericMode.EXACT:
-                if a.value + b.value != 1:
-                    raise ParameterError(f"{label} must equal 1, got {a.value + b.value}")
-            elif abs(s - 1.0) > _ROW_TOLERANCE:
-                raise ParameterError(f"{label} must equal 1 within {_ROW_TOLERANCE}, got {s}")
+            object.__setattr__(self, name, convert(ProbValue(NumericMode.EXACT, value), self.mode))
 
     def initial(self, state: State) -> ProbValue:
         _check_state(state, "state")
@@ -122,17 +123,10 @@ class ChainSpec:
         return getattr(self, f"p{src.value}{dst.value}")
 
     def as_mode(self, target: NumericMode) -> "ChainSpec":
+        """The same chain in ``target``, converted from the exact parameters."""
         if target is self.mode:
             return self
-        return ChainSpec(
-            mode=target,
-            p0=convert(self.p0, target),
-            p1=convert(self.p1, target),
-            p00=convert(self.p00, target),
-            p01=convert(self.p01, target),
-            p10=convert(self.p10, target),
-            p11=convert(self.p11, target),
-        )
+        return ChainSpec(*self.exact, target)
 
     def float_params(self) -> tuple[float, float, float]:
         """(p01, p10, p1) as doubles, for the simulation/enumeration kernels."""
@@ -145,39 +139,14 @@ def build_chain(
     p1: "ProbValue | Fraction | float | int | str",
     mode: NumericMode = NumericMode.EXACT,
 ) -> ChainSpec:
-    """Parse, validate and complete a chain specification.
-
-    Inputs are read exactly (strings as ``"a/b"`` or decimal), complements
-    are formed in exact arithmetic, and only then is everything converted
-    to the requested backend.
-    """
-    exact = {}
-    for name, raw in (("p01", p01), ("p10", p10), ("p1", p1)):
-        exact[name] = parse_probability(raw, NumericMode.EXACT, name=name).value
-    e01, e10, e1 = exact["p01"], exact["p10"], exact["p1"]
-    as_mode = lambda f: convert(ProbValue(NumericMode.EXACT, f), mode)  # noqa: E731
-    return ChainSpec(
-        mode=mode,
-        p0=as_mode(1 - e1),
-        p1=as_mode(e1),
-        p00=as_mode(1 - e01),
-        p01=as_mode(e01),
-        p10=as_mode(e10),
-        p11=as_mode(1 - e10),
-    )
+    """Parse, validate and complete a chain specification (see :class:`ChainSpec`)."""
+    return ChainSpec(p01, p10, p1, mode)
 
 
 def swap_labels(chain: ChainSpec) -> ChainSpec:
     """Exchange the roles of S0 and S1 (an involution, field for field)."""
-    return ChainSpec(
-        mode=chain.mode,
-        p0=chain.p1,
-        p1=chain.p0,
-        p00=chain.p11,
-        p01=chain.p10,
-        p10=chain.p01,
-        p11=chain.p00,
-    )
+    e01, e10, e1 = chain.exact
+    return ChainSpec(e10, e01, 1 - e1, chain.mode)
 
 
 @dataclass(frozen=True, slots=True)

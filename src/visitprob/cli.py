@@ -118,10 +118,6 @@ def _emit(record: dict, fmt: str, columns: list[str], rows: list[dict], text) ->
 # ---------------------------------------------------------------------------
 
 
-def _canonical(text: str) -> str:
-    return str(Fraction(text))
-
-
 def _resolve_mode(args) -> NumericMode:
     if args.mode is not None:
         return NumericMode(args.mode)
@@ -130,14 +126,8 @@ def _resolve_mode(args) -> NumericMode:
 
 def _chain_inputs(args, mode: NumericMode) -> tuple[ChainSpec, dict]:
     chain = build_chain(args.p01, args.p10, args.p1, mode)
-    inputs = {
-        "p01": _canonical(args.p01),
-        "p10": _canonical(args.p10),
-        "p1": _canonical(args.p1),
-        "n": args.n,
-        "mode": mode.value,
-    }
-    return chain, inputs
+    p01, p10, p1 = map(str, chain.exact)
+    return chain, {"p01": p01, "p10": p10, "p1": p1, "n": args.n, "mode": mode.value}
 
 
 def _term_count(k: int, n: int) -> int:

@@ -95,8 +95,13 @@ increasing m and keeps two pairs' sums, so memory stays linear in n.  A
 single k (``visit_probability``, the conditionals) keeps the term-ratio
 sums: a recurrence from m = 1 would take as many steps as they have terms.
 
-Past N = FLOAT_MAX_HORIZON (1035) the FLOAT binomial products overflow and
-its reduction raises :class:`~visitprob.errors.NumericalError`.
+A FLOAT probability raises :class:`~visitprob.errors.NumericalError` where
+its pair's two binomial rows multiply past the double range.  That depends
+on N and k, not on the chain: up to N = FLOAT_MAX_HORIZON (1035) no k
+overflows, and past it every distribution raises, but a single k raises
+only inside a middle band (at N = 1100, 394 <= k <= 706; at N = 2000,
+232 <= k <= 1768).  Outside it the value is usable: at N = 1100, k = 1, 100,
+300 and 393 came within 7e-14 relative of exact on three chains.
 
 Every mode assembles every mass from raw payloads (EXACT numerators, FLOAT
 doubles, LOGSPACE logs) by the same steps, with its own constants and its
@@ -158,8 +163,10 @@ __all__ = [
     "term_census",
 ]
 
-# Largest horizon FLOAT mode can evaluate: from N = 1036 on, the product of
-# a middle term's two float binomials exceeds the double range for every chain.
+# Largest horizon of a FLOAT distribution: from N = 1036 on, the product of
+# a middle pair's two float binomials exceeds the double range for every
+# chain, so the distribution raises.  A single probability past it raises
+# only for the k whose own pair overflows (at N = 1100, 394 <= k <= 706).
 FLOAT_MAX_HORIZON = 1035
 
 
@@ -577,11 +584,13 @@ class _Evaluator:
 # (visitprob.split).  On a 2-core VM, when the second core is busy, the fork
 # and a child that starts 2-6 ms late cost up to 25 % at N = 200-400 and
 # about 10 % from N = 400 on.  With it idle, serial -> split, medians of 15,
-# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: medians of 15, 9 and 5
-# runs from two sessions, chain 3/10, 2/5, 1/2, then 13/97, 41/89, 29/83):
+# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: medians of 15 and 9 runs
+# from two sessions, and of 5 runs from three sessions at N = 2000 and 4000,
+# chain 3/10, 2/5, 1/2, then 13/97, 41/89, 29/83):
 #   EXACT     N = 400   0.0048-0.0049 -> 0.0075-0.0091 s, 0.0061-0.0063 -> 0.0098-0.0100 s
 #             N = 1000  0.022-0.030 -> 0.030 s,          0.041-0.064 -> 0.053-0.059 s
-#             N = 2000  0.088-0.127 -> 0.10-0.16 s,      0.22-0.31 -> 0.13-0.20 s
+#             N = 2000  0.090-0.122 -> 0.117-0.148 s,    0.21-0.30 -> 0.20-0.26 s
+#             N = 4000  0.47-0.53 -> 0.54-0.62 s,        1.45-1.53 -> 0.84-1.01 s
 #   FLOAT     N = 200   0.006-0.008 -> 0.006-0.009 s
 #             N = 400   0.016-0.018 -> 0.013-0.016 s
 #             N = 1000  0.092-0.093 -> 0.057-0.062 s
@@ -590,9 +599,10 @@ class _Evaluator:
 #             N = 1000  0.11-0.16 -> 0.074-0.094 s
 # EXACT takes its pair sums from the recurrence in m and reduces each mass
 # against w * d0 * d1, so its split costs time at N = 400, breaks even near
-# N = 1000 and gains only at N = 2000 on the second chain: both processes run
-# the whole recurrence, and the parent builds every Fraction.  One threshold
-# serves every mode.
+# N = 1000, costs 12-31 % on the first chain at N = 2000 and 4000, and on
+# the second goes from an 18 % loss to a 33 % gain at N = 2000 and gains
+# 34-42 % at N = 4000: both processes run the whole recurrence, and the
+# parent builds every Fraction.  One threshold serves every mode.
 _SPLIT_MIN_HORIZON = 400
 
 

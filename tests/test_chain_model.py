@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from visitprob.chain_model import (
+    ChainSpec,
     State,
     TransitionCounts,
     VisitQuery,
@@ -13,12 +14,26 @@ from visitprob.chain_model import (
 )
 from visitprob.closed_form import prob_given_start_s1, visit_distribution
 from visitprob.errors import ParameterError
-from visitprob.numerics import NumericMode
+from visitprob.numerics import NumericMode, ProbValue, convert
 from visitprob.oracle import oracle_distribution
 
 NON_STATES = [0, 1, True, "S1", None]
 
 probabilities = st.fractions(min_value=0, max_value=1, max_denominator=30)
+edge_probabilities = st.sampled_from([Fraction(0), Fraction(1)]) | probabilities
+modes = st.sampled_from(list(NumericMode))
+
+FIELDS = ("p0", "p1", "p00", "p01", "p10", "p11")
+# The field each field of a chain becomes when S0 and S1 change places.
+SWAPPED = {"p0": "p1", "p1": "p0", "p00": "p11", "p01": "p10", "p10": "p01", "p11": "p00"}
+
+
+def six_field_chain(p01, p10, p1, mode) -> dict:
+    """The six probabilities as a constructor that took all six was given
+    them: each complement formed in exact arithmetic, then every value
+    converted to ``mode``."""
+    exact = {"p0": 1 - p1, "p1": p1, "p00": 1 - p01, "p01": p01, "p10": p10, "p11": 1 - p10}
+    return {name: convert(ProbValue(NumericMode.EXACT, v), mode) for name, v in exact.items()}
 
 
 class TestBuildChain:
@@ -35,6 +50,10 @@ class TestBuildChain:
     def test_out_of_range_names_field(self):
         with pytest.raises(ParameterError, match="p01"):
             build_chain("1.2", "0.5", "0.5")
+        with pytest.raises(ParameterError, match="p01"):
+            ChainSpec("1.2", "1/2", "1/2")
+        with pytest.raises(ParameterError, match="p1 "):
+            ChainSpec("1/2", "1/2", "-1", NumericMode.FLOAT)
         with pytest.raises(ParameterError, match="p10"):
             build_chain("0.5", "-1/2", "0.5")
 
@@ -81,6 +100,33 @@ class TestBuildChain:
             c.transition(value, State.S1)
         with pytest.raises(ParameterError, match="dst must be a State"):
             c.transition(State.S0, value)
+
+    @given(edge_probabilities, edge_probabilities, edge_probabilities, modes)
+    @example(Fraction(0), Fraction(1), Fraction(1), NumericMode.LOGSPACE)
+    @example(Fraction(1), Fraction(0), Fraction(0), NumericMode.FLOAT)
+    def test_fields_keep_their_bits(self, p01, p10, p1, mode):
+        """Built from its three free parameters, every field of a chain and
+        of its label swap has the bits of the six-field construction."""
+        expected = six_field_chain(p01, p10, p1, mode)
+        chain = build_chain(p01, p10, p1, mode)
+        swapped = swap_labels(chain)
+        assert chain.mode is swapped.mode is mode
+        assert chain.exact == (p01, p10, p1)
+        for name in FIELDS:
+            assert repr(getattr(chain, name)) == repr(expected[name])
+            assert repr(getattr(swapped, name)) == repr(expected[SWAPPED[name]])
+
+    @given(edge_probabilities, edge_probabilities, edge_probabilities, modes, modes)
+    # From FLOAT, p00 = 7/10 gets log 7 - log 10 (-0.35667494393873267), not
+    # the log of the double 0.7 (-0.35667494393873245).
+    @example(Fraction(3, 10), Fraction(2, 5), Fraction(1, 2), NumericMode.FLOAT, NumericMode.LOGSPACE)
+    def test_as_mode_converts_from_the_exact_parameters(self, p01, p10, p1, source, target):
+        chain = build_chain(p01, p10, p1, source)
+        converted = chain.as_mode(target)
+        expected = build_chain(*chain.exact, target)
+        assert converted.exact == chain.exact
+        for name in ("mode", *FIELDS):
+            assert repr(getattr(converted, name)) == repr(getattr(expected, name))
 
     def test_as_mode_round_trip_structure(self):
         c = build_chain("3/10", "2/5", "1/2").as_mode(NumericMode.FLOAT)

@@ -247,6 +247,19 @@ class TestSimulateCommand:
         assert code == 0
         assert sum(json.loads(out)["results"]["counts"]) == 3
 
+    def test_logspace_reference_is_the_logspace_distribution(self, capsys):
+        """Past the float horizon the reference is the chain's LOGSPACE
+        distribution, converted from the exact parameters as ``dist`` builds
+        it, so the two print the same doubles."""
+        _, sim, _ = run_cli(
+            capsys, "simulate", *GENERIC, "--n", "1100", "--trials", "3", "--format", "json",
+        )
+        _, dist, _ = run_cli(
+            capsys, "dist", *GENERIC, "--n", "1100", "--mode", "logspace", "--format", "json",
+        )
+        reference = [row["reference"] for row in json.loads(sim)["rows"]]
+        assert reference == [row["probability"] for row in json.loads(dist)["rows"]]
+
 
 class TestValidateCommand:
     def test_small_grid_passes(self, capsys):

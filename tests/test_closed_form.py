@@ -333,6 +333,21 @@ class TestVisitProbability:
         with pytest.raises(NumericalError, match=f"N={n + 1} .*N={n}\\)"):
             visit_probability(VisitQuery(n + 1, (n + 1) // 2), c)
 
+    @pytest.mark.parametrize("params", [GENERIC, SKEWED, ("0", "1/2", "1/2")])
+    def test_float_horizon_depends_on_k_not_on_the_chain(self, params):
+        """Past FLOAT_MAX_HORIZON a single float probability raises only
+        where its pair's two binomial rows multiply past the double range: at
+        N = 1100 that is 394 <= k <= 706 on every chain.  A whole
+        distribution covers those k, so it raises."""
+        chain = build_chain(*params, NumericMode.FLOAT)
+        below = visit_probability(VisitQuery(1100, 393), chain).value
+        exact = visit_probability(VisitQuery(1100, 393), build_chain(*params)).value
+        assert abs(Fraction(below) - exact) <= Fraction(1, 10**11) * exact
+        with pytest.raises(NumericalError):
+            visit_probability(VisitQuery(1100, 394), chain)
+        with pytest.raises(NumericalError):
+            visit_distribution(1100, State.S1, chain)
+
 
 class TestVisitDistribution:
     def test_single_position(self):
