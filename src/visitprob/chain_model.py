@@ -129,7 +129,7 @@ class ChainSpec:
         return ChainSpec(*self.exact, target)
 
     def float_params(self) -> tuple[float, float, float]:
-        """(p01, p10, p1) as doubles, for the simulation/enumeration kernels."""
+        """(p01, p10, p1) as doubles, for the simulation kernel."""
         return (self.p01.to_float(), self.p10.to_float(), self.p1.to_float())
 
 

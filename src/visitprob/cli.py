@@ -47,7 +47,7 @@ from visitprob.errors import (
     ParameterError,
     VisitProbError,
 )
-from visitprob.numerics import NumericMode, ProbValue, _is_int
+from visitprob.numerics import NumericMode, ProbValue, _fraction_text, _int_text, _is_int
 from visitprob.oracle import census_by_j, oracle_distribution, simulate, total_variation
 
 SCHEMA_VERSION = "1"
@@ -80,7 +80,7 @@ def _decimal17(frac: Fraction) -> str:
 _PROB_FIELDS = {
     NumericMode.EXACT: {
         "probability": _decimal17,
-        "exact": lambda f: f"{f.numerator}/{f.denominator}",
+        "exact": lambda f: f"{_int_text(f.numerator)}/{_int_text(f.denominator)}",
     },
     NumericMode.FLOAT: {"probability": repr},
     NumericMode.LOGSPACE: {"probability": lambda v: repr(math.exp(v)), "log": repr},
@@ -126,7 +126,7 @@ def _resolve_mode(args) -> NumericMode:
 
 def _chain_inputs(args, mode: NumericMode) -> tuple[ChainSpec, dict]:
     chain = build_chain(args.p01, args.p10, args.p1, mode)
-    p01, p10, p1 = map(str, chain.exact)
+    p01, p10, p1 = map(_fraction_text, chain.exact)
     return chain, {"p01": p01, "p10": p10, "p1": p1, "n": args.n, "mode": mode.value}
 
 

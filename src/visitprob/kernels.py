@@ -1,4 +1,4 @@
-"""Hot kernels: trajectory simulation and float path enumeration.
+"""Hot kernels: trajectory simulation and exact path enumeration.
 
 The pseudo-random generator is pinned to splitmix64:
 
@@ -36,6 +36,11 @@ Lane-wise, ``output < T`` is bit 65 of the non-negative lane value
 order with explicit formats, so no step depends on the host's byte order.
 The histogram equals the one-at-a-time loop's bit for bit;
 ``tests/test_kernels.py`` keeps that loop as the reference.
+
+The enumeration kernel knows no probabilities and no numeric mode: it
+sums integer path weights per visit count, and
+:func:`visitprob.oracle.oracle_distribution` scales the chain to those
+integers and divides once at the end.
 """
 
 from __future__ import annotations
@@ -108,42 +113,32 @@ def simulate_counts(
     return counts
 
 
-def enumerate_visit_mass(n: int, p01: float, p10: float, p1: float) -> list[float]:
-    """Total probability of each S1-visit count over all 2**n trajectories.
+def enumerate_visit_mass(
+    n: int, p0: int, p1: int, p00: int, p01: int, p10: int, p11: int
+) -> list[int]:
+    """Summed integer weight of each S1-visit count over all 2**n trajectories.
 
-    Depth-first in lexicographic state order (S0 branch before S1), with
-    per-bucket Neumaier compensation, so results are reproducible bit for
-    bit across implementations.  The probabilities must lie in [0, 1], so
-    every path mass and running sum is nonnegative.
+    A path's weight is the product of its initial weight (``p0`` or
+    ``p1``) and its n - 1 transition weights (``pab`` for a -> b), all
+    nonnegative integers, so every bucket sum is exact and the order of
+    the depth-first walk does not show in it.  The walk adds the last
+    transition's two weights into their buckets in place.
     """
-    p00 = 1.0 - p01
-    p11 = 1.0 - p10
-    p0 = 1.0 - p1
-    sums = [0.0] * (n + 1)
-    comps = [0.0] * (n + 1)
+    sums = [0] * (n + 1)
+    rows = ((p00, p01), (p10, p11), (p0, p1))  # row 2: the initial placement
+    last = n - 1
 
-    def walk(depth: int, state: int, prob: float, visits: int) -> None:
-        if depth == n:
-            # Neumaier step; s and prob are nonnegative, so s >= prob
-            # picks the larger magnitude.
-            s = sums[visits]
-            t = s + prob
-            if s >= prob:
-                comps[visits] += (s - t) + prob
-            else:
-                comps[visits] += (prob - t) + s
-            sums[visits] = t
+    def walk(depth: int, state: int, weight: int, visits: int) -> None:
+        to0, to1 = rows[state]
+        if depth == last:
+            sums[visits] += weight * to0
+            sums[visits + 1] += weight * to1
             return
-        if state:
-            walk(depth + 1, 0, prob * p10, visits)
-            walk(depth + 1, 1, prob * p11, visits + 1)
-        else:
-            walk(depth + 1, 0, prob * p00, visits)
-            walk(depth + 1, 1, prob * p01, visits + 1)
+        walk(depth + 1, 0, weight * to0, visits)
+        walk(depth + 1, 1, weight * to1, visits + 1)
 
-    walk(1, 0, p0, 0)
-    walk(1, 1, p1, 1)
-    return [sums[k] + comps[k] for k in range(n + 1)]
+    walk(0, 2, 1, 0)
+    return sums
 
 
 def backend_name() -> str:

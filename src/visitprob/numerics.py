@@ -19,8 +19,8 @@ nonnegative real tagged with the backend it lives in.
 
 Each backend's arithmetic on raw payloads (``ProbValue.value``) is written
 once, in its :class:`Arithmetic` record ``ARITHMETIC[mode]``.  ``ProbValue``,
-:func:`pow_prob`, :func:`sum_values`, the closed-form evaluator and the
-enumeration walk read it and do not branch on the mode to compute.
+:func:`pow_prob`, :func:`sum_values` and the closed-form evaluator read it
+and do not branch on the mode to compute.
 
 The convention ``0**0 == 1`` holds in every backend: the boundary masses
 of the closed form raise a possibly-zero probability to the zeroth power
@@ -37,6 +37,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -369,6 +370,27 @@ def convert(value: ProbValue, target: NumericMode) -> ProbValue:
     return ProbValue(target, Fraction(as_float))
 
 
+def _int_text(value: int) -> str:
+    """``str(value)`` for an integer of any length: ``str`` refuses more than
+    ``sys.get_int_max_str_digits()`` digits, ``Decimal`` converts exactly."""
+    return str(Decimal(value))
+
+
+def _fraction_text(value: Fraction) -> str:
+    """``str(value)`` for a fraction of any length (``a/b``, or ``a`` when b is 1)."""
+    if value.denominator == 1:
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """An ``"a/b"`` or decimal string read exactly, each side by ``Decimal``,
+    so that neither side is limited to ``sys.get_int_max_str_digits()`` digits."""
+    num, slash, den = text.partition("/")
+    value = Fraction(Decimal(num))
+    return value / Fraction(Decimal(den)) if slash else value
+
+
 def parse_probability(
     value: "ProbValue | Fraction | float | int | str",
     mode: NumericMode = NumericMode.EXACT,
@@ -384,9 +406,12 @@ def parse_probability(
         exact = value.as_fraction()
     else:
         try:
-            exact = Fraction(value)
-        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+            exact = _parse_fraction(value) if isinstance(value, str) else Fraction(value)
+        except (
+            ValueError, ZeroDivisionError, TypeError, OverflowError, InvalidOperation
+        ) as exc:
             raise ParameterError(f"{name}: cannot parse {value!r} as a probability") from exc
     if not 0 <= exact <= 1:
-        raise ParameterError(f"{name} must be in [0, 1], got {exact}")
+        given = value if isinstance(value, str) else _fraction_text(exact)
+        raise ParameterError(f"{name} must be in [0, 1], got {given}")
     return convert(ProbValue(NumericMode.EXACT, exact), mode)

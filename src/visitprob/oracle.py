@@ -11,11 +11,16 @@ Three referees live here:
   are reproducible bit for bit across runs and machines;
 * total-variation distance for comparing any two distributions.
 
-In EXACT mode the enumeration multiplies and sums plain integers: with w
-the denominator of p0 and p1, d0 that of p00 and p01, and d1 that of p10
-and p11 (row sums are exact, so each pair shares one), every path's
-probability is an integer numerator over w*(d0*d1)**(N-1), and one
-``Fraction`` per visit count is built at the end.
+The enumeration counts in integers in every mode: with w the denominator
+of p0 and p1, d0 that of p00 and p01, and d1 that of p10 and p11 (each
+complement shares its parameter's denominator), p0 and p1 are weighted
+by their numerators over w, moves out of S0 by theirs times d1 and moves
+out of S1 by theirs times d0, so every step is over d0*d1 and every
+path's probability is an integer over w*(d0*d1)**(N-1).  Each visit
+count's exact mass is one ``Fraction`` built at the end and then
+converted to the chain's mode: a FLOAT mass is the exact one correctly
+rounded, a LOGSPACE mass is the log of the exact one.  The cost of each
+path grows with the size of those denominators.
 
 Nothing in this module evaluates the closed-form sums; agreement between
 the two routes is asserted by the test suite, not assumed here.
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +49,7 @@ from visitprob.chain_model import (
 )
 from visitprob.closed_form import VisitDistribution
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
-from visitprob.numerics import ARITHMETIC, NumericMode, ProbValue, _is_int, pow_prob
+from visitprob.numerics import NumericMode, ProbValue, _is_int, convert, pow_prob
 
 __all__ = [
     "CensusCell",
@@ -80,34 +84,8 @@ def _check_enumerable(n: int, guard: int | None, k: int | None = None) -> None:
     limit = guard if guard is not None else enumeration_guard()
     if n > limit:
         raise EnumerationGuardError(
-            f"horizon {n} would enumerate 2**{n} = {2 ** n} trajectories, "
-            f"above the guard of {limit}"
+            f"horizon {n} would enumerate 2**{n} trajectories, above the guard of {limit}"
         )
-
-
-def _raw_values(chain: ChainSpec):
-    """Initial and transition payloads.
-
-    LOGSPACE payloads are the chain's logs.  EXACT payloads are integer
-    numerators: p0 and p1 over w, moves out of S0 scaled by d1 and moves
-    out of S1 by d0, so every step is over d0*d1 (see the module
-    docstring).
-    """
-    if chain.mode is NumericMode.LOGSPACE:
-        init = (chain.p0.value, chain.p1.value)
-        trans = (
-            (chain.p00.value, chain.p01.value),
-            (chain.p10.value, chain.p11.value),
-        )
-        return init, trans
-    d0 = chain.p01.value.denominator
-    d1 = chain.p10.value.denominator
-    init = (chain.p0.value.numerator, chain.p1.value.numerator)
-    trans = (
-        (chain.p00.value.numerator * d1, chain.p01.value.numerator * d1),
-        (chain.p10.value.numerator * d0, chain.p11.value.numerator * d0),
-    )
-    return init, trans
 
 
 def oracle_distribution(
@@ -115,44 +93,34 @@ def oracle_distribution(
 ) -> VisitDistribution:
     """Visit-count distribution by exhaustive enumeration.
 
-    Exact in EXACT mode: path numerators are summed as integers per visit
-    count, and each sum becomes one ``Fraction`` over w*(d0*d1)**(n-1).
-    FLOAT mode dispatches to
-    :func:`visitprob.kernels.enumerate_visit_mass`; LOGSPACE accumulates
-    per-bucket running log-sum-exp.
+    One integer walk (:func:`visitprob.kernels.enumerate_visit_mass`) in
+    every mode; each bucket sum over w*(d0*d1)**(n-1) is the exact mass,
+    which is converted once to the chain's mode (see the module docstring).
     """
     _check_state(target, "target")
     _check_enumerable(n, guard)
-    mode = chain.mode
-    if mode is NumericMode.FLOAT:
-        p01f, p10f, p1f = chain.float_params()
-        buckets = kernels.enumerate_visit_mass(n, p01f, p10f, p1f)
-    else:
-        init, trans = _raw_values(chain)
-        ar = ARITHMETIC[mode]
-        add, mul = ar.add, ar.mul
-        buckets = [ar.zero] * (n + 1)
-
-        def walk(depth: int, prev: int, acc, visits: int) -> None:
-            if depth == n:
-                buckets[visits] = add(buckets[visits], acc)
-                return
-            walk(depth + 1, 0, mul(acc, trans[prev][0]), visits)
-            walk(depth + 1, 1, mul(acc, trans[prev][1]), visits + 1)
-
-        walk(1, 0, init[0], 0)
-        walk(1, 1, init[1], 1)
-        if mode is NumericMode.EXACT:
-            step = chain.p01.value.denominator * chain.p10.value.denominator
-            denominator = chain.p1.value.denominator * step ** (n - 1)
-            buckets = [Fraction(b, denominator) for b in buckets]
+    e01, e10, e1 = chain.exact
+    w, d0, d1 = e1.denominator, e01.denominator, e10.denominator
+    sums = kernels.enumerate_visit_mass(
+        n,
+        w - e1.numerator,
+        e1.numerator,
+        (d0 - e01.numerator) * d1,
+        e01.numerator * d1,
+        e10.numerator * d0,
+        (d1 - e10.numerator) * d0,
+    )
+    denominator = w * (d0 * d1) ** (n - 1)
     if target is State.S0:
-        buckets = buckets[::-1]  # k visits to S0 == n-k visits to S1
+        sums = sums[::-1]  # k visits to S0 == n-k visits to S1
     return VisitDistribution(
         horizon_n=n,
         target=target,
-        mode=mode,
-        mass=tuple(ProbValue(mode, b) for b in buckets),
+        mode=chain.mode,
+        mass=tuple(
+            convert(ProbValue(NumericMode.EXACT, Fraction(s, denominator)), chain.mode)
+            for s in sums
+        ),
     )
 
 
@@ -238,7 +206,6 @@ class SimulationResult:
     trials: int
     seed: int
     counts: tuple[int, ...]
-    elapsed: float
 
     def empirical_distribution(self, target: State = State.S1) -> VisitDistribution:
         _check_state(target, "target")
@@ -268,9 +235,7 @@ def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResu
     if not _is_int(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     p01f, p10f, p1f = chain.float_params()
-    started = time.perf_counter()
     counts = kernels.simulate_counts(n, p01f, p10f, p1f, trials, seed & _SEED_MASK)
-    elapsed = time.perf_counter() - started
     if sum(counts) != trials:
         raise VisitProbError("simulation histogram does not sum to the trial count")
     return SimulationResult(
@@ -278,7 +243,6 @@ def simulate(n: int, chain: ChainSpec, trials: int, seed: int) -> SimulationResu
         trials=trials,
         seed=seed & _SEED_MASK,
         counts=tuple(counts),
-        elapsed=elapsed,
     )
 
 

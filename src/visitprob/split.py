@@ -48,12 +48,13 @@ def split_masses(ev) -> dict:
     2 * m + 1 binomial-row entries, so alternate pairs give both processes,
     to within 3 terms and 2 row entries per pair, half of the work.  In
     EXACT each process runs the pair-sum recurrence through every m up to
-    its last and derives the masses of its own pairs only.  The child sends its ``{k: raw}`` through a pipe with
-    ``marshal``.  If it fails or dies, this process computes its share too,
-    so the caller sees the serial pair loop's result or exception; if this
-    process raises, the child is killed and reaped.  Without a free second
-    CPU (see :func:`_can_split`) or when the fork fails, every pair is
-    computed here.
+    its last and derives the masses of its own pairs only.  The child
+    sends its ``{k: raw}`` through a pipe with ``marshal``.  If it fails
+    or dies, this process computes its share too, so the caller sees the
+    serial pair loop's result or exception; if this process raises, the
+    child is killed and reaped.  Without a free second CPU (see
+    :func:`_can_split`) or when the fork fails, every pair is computed
+    here.
     """
     pairs = range(1, ev.n // 2 + 1)
     if not _can_split():

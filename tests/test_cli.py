@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from visitprob import cli
-from visitprob.chain_model import State, build_chain
-from visitprob.closed_form import _Evaluator, _pair_masses, summation_limits
+from visitprob.chain_model import State, VisitQuery, build_chain
+from visitprob.closed_form import _Evaluator, _pair_masses, summation_limits, visit_probability
 from visitprob.numerics import NumericMode
 
 
@@ -449,3 +450,56 @@ def test_large_dist_output_printed_once(monkeypatch, extra, marker, want_digest)
     assert proc.returncode == 0
     assert proc.stdout.count(marker) == 1
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want_digest
+
+
+# Chains whose exact values have more digits than the interpreter converts
+# between int and str (sys.get_int_max_str_digits(), 4300 by default): the
+# skewed chain's masses at N = 2300, and every mass of a chain with p1 = 1e-5000.
+SKEWED_2300 = [
+    "--p01", "13/97", "--p10", "41/89", "--p1", "29/83", "--n", "2300", "--mode", "exact"
+]
+TINY_P1 = ["--p01", "1/3", "--p10", "1/2", "--p1", "1e-5000", "--n", "3"]
+FORMATS = ("text", "json", "csv")
+
+
+class TestLongIntegers:
+    @pytest.mark.parametrize(
+        "argv, want_code",
+        [
+            (["dist", *SKEWED_2300, "--format", "csv"], 0),
+            *((["prob", *SKEWED_2300, "--k", "1000", "--format", f], 0) for f in FORMATS),
+            *((["dist", *TINY_P1, "--format", f], 0) for f in FORMATS),
+            (["dist", "--p01", "1e5000", "--p10", "1/2", "--p1", "1/2", "--n", "3"], 2),
+            (["oracle", "--p01", "1/3", "--p10", "1/2", "--p1", "1/2", "--n", "20000"], 3),
+        ],
+    )
+    def test_exit_code_without_traceback(self, capsys, argv, want_code):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == want_code
+        assert "Traceback" not in err
+
+    def test_errors_name_the_input_as_given(self, capsys):
+        for p01 in ("1e5000", "1e400"):
+            _, _, err = run_cli(
+                capsys, "dist", "--p01", p01, "--p10", "1/2", "--p1", "1/2", "--n", "3"
+            )
+            assert err == f"error: p01 must be in [0, 1], got {p01}\n"
+        _, _, err = run_cli(capsys, "oracle", *SYM, "--n", "20000")
+        assert err == (
+            "error: horizon 20000 would enumerate 2**20000 trajectories, above the guard of 25\n"
+        )
+
+    def test_echoed_input_reruns_verbatim(self, capsys):
+        _, first, _ = run_cli(capsys, "dist", *TINY_P1, "--format", "json")
+        p1 = json.loads(first)["inputs"]["p1"]
+        assert len(p1) > 5000
+        argv = [a if a != "1e-5000" else p1 for a in TINY_P1]
+        assert run_cli(capsys, "dist", *argv, "--format", "json")[1] == first
+
+    def test_long_exact_field_is_the_library_fraction(self, capsys):
+        _, out, _ = run_cli(capsys, "prob", *SKEWED_2300, "--k", "1000", "--format", "json")
+        num, den = json.loads(out)["results"]["exact"].split("/")
+        assert len(num) > 4300 and len(den) > 4300
+        chain = build_chain("13/97", "41/89", "29/83")
+        want = visit_probability(VisitQuery(2300, 1000), chain).value
+        assert (int(Decimal(num)), int(Decimal(den))) == (want.numerator, want.denominator)

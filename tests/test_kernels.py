@@ -1,9 +1,11 @@
-"""The kernels against frozen golden vectors, the word-parallel simulator
-against the one-trajectory-at-a-time loop it replaces, and the pinned
-generator against its published reference outputs."""
+"""The simulation kernel against frozen golden vectors, the word-parallel
+simulator against the one-trajectory-at-a-time loop it replaces, the pinned
+generator against its published reference outputs, and the enumeration
+kernel's integer sums against a path-by-path enumeration."""
 
 import hashlib
-import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,18 +17,9 @@ from visitprob.kernels import _GAMMA, _MASK, _MIX1, _MIX2
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 B = kernels._BLOCK
 
-CHAINS = [
-    (0.3, 0.4, 0.5),
-    (0.5, 0.5, 0.5),
-    (0.0, 1.0, 1.0),
-    (1.0, 0.0, 0.0),
-    (0.01, 0.99, 0.25),
-]
-
 # sha256 of repr(output), keyed by (chain, seed) for
-# simulate_counts(8, *chain, 10_000, seed) and by (chain, n) for
-# enumerate_visit_mass(n, *chain).  Any change to a draw, a comparison or
-# the order of a float sum shows up here.
+# simulate_counts(8, *chain, 10_000, seed).  Any change to a draw or a
+# comparison shows up here.
 SIMULATE_DIGESTS = {
     ((0.3, 0.4, 0.5), 0): "28e7cf197a9f348d6a390648f7ea5fd0b85a3373efa288a796edafdf4cb24edd",
     ((0.3, 0.4, 0.5), 1): "7e277798858713ff4ff20dd4e5338e7fa8b4cf467db85ea1717efb7aaa8b4284",
@@ -80,35 +73,6 @@ SIMULATE_EDGE_DIGESTS = {
     (40, 10_007, (0.01, 0.99, 0.25), 0): "51537c36c46a8a7f2bee5be92f8de659b1d824164e6080c63fe6ae308d42c708",
     (40, 10_007, (0.01, 0.99, 0.25), 2**64 - 1): "1af8feddfc9795ec51cf69a01d61571fef1f6241a5acdd44238a00ac55e0fb95",
 }
-
-ENUMERATE_DIGESTS = {
-    ((0.3, 0.4, 0.5), 1): "01a59a9c423ad34fa0803ec1af9a257e8994296ef8be2614855a3f9ad2de8568",
-    ((0.3, 0.4, 0.5), 2): "9ec950cd01e810488bc7e5db61e65891a465079541808a1ca395af15c357cee7",
-    ((0.3, 0.4, 0.5), 3): "96efa7ae768deebd6937873b5d6561296d39dd43f03934b9d29603e4187f7eba",
-    ((0.3, 0.4, 0.5), 7): "eceae32d0b4196f980b7c9c03a709b8ec1e01de763cb49b820b910bb50c1b1dc",
-    ((0.3, 0.4, 0.5), 12): "d416924059fb4ee977540000079265510a4fa0a2f3c7d6534fd9b900975e387a",
-    ((0.5, 0.5, 0.5), 1): "01a59a9c423ad34fa0803ec1af9a257e8994296ef8be2614855a3f9ad2de8568",
-    ((0.5, 0.5, 0.5), 2): "924da9c90692d7bb094c024c4faffb3b832e5944720e2f5b42c5830109862ee8",
-    ((0.5, 0.5, 0.5), 3): "7dd2d46694cf4f97c7fe86e9c3c5ddab4b4defbdfcdc7e6f32d9399fca8197c2",
-    ((0.5, 0.5, 0.5), 7): "e791de55244702ca82ac6d3ee0dacbb3e798343f692ebc00671c67f304685b40",
-    ((0.5, 0.5, 0.5), 12): "78362cfcf89929fbbf706b8829168c120d50caa749ffe4d508138e326cbc921c",
-    ((0.0, 1.0, 1.0), 1): "46f9d2fee9cdb34d4930469335847e1e05c2a93f5553f52787681936cf656605",
-    ((0.0, 1.0, 1.0), 2): "8966c3d12f344d8024cf0c416ef63685c8463390bbdf3e6dddca4c8358baa752",
-    ((0.0, 1.0, 1.0), 3): "613e8dba97eae924b9ee460c8bd1813e3f15b5a4bf9e0f11e81eef4c8f3c3b10",
-    ((0.0, 1.0, 1.0), 7): "76c1ace4d4e14a800144dc9ee14dea40092920dfeeb3e5254b02a0b35fdedaab",
-    ((0.0, 1.0, 1.0), 12): "fa4d6d23864f34617b6318e708674594e2be6436a922d594f1e1beac9af383b8",
-    ((1.0, 0.0, 0.0), 1): "867904147b8f4f22f03863bb9be497a079acc7742292378ca59569c00e745d83",
-    ((1.0, 0.0, 0.0), 2): "8966c3d12f344d8024cf0c416ef63685c8463390bbdf3e6dddca4c8358baa752",
-    ((1.0, 0.0, 0.0), 3): "4a6a158178fd7308e04b11cf6cddad1345de2719221c1e1fd080851e269eda7c",
-    ((1.0, 0.0, 0.0), 7): "7843bd4ceddbec1d615df410e801d785f6773c131bf07bcbc104d74871f0f614",
-    ((1.0, 0.0, 0.0), 12): "1878ad80dc4cb89ad2fed7049e73b66e75b4b54b3a5ac7ddae57cabf8678c84e",
-    ((0.01, 0.99, 0.25), 1): "97ee261cb4e41c4ecbad5d585fb98a25b2fa9e981c1bdc5c641f98b09a848834",
-    ((0.01, 0.99, 0.25), 2): "15cbeeafae2626f10674bcbc0d84019918e38c1c09b198635dbd259a044da7b0",
-    ((0.01, 0.99, 0.25), 3): "7bb32f30c38da68f844b97356c4675125480c8c828bad89b4d0eb40e87ced86b",
-    ((0.01, 0.99, 0.25), 7): "ad41ba474dffba11c361db042edb782580d5f8bbc9ce8cd67cfb4ed7809ce59c",
-    ((0.01, 0.99, 0.25), 12): "e9349bc40ff37045dadb20484ea6e3a363ea3cce330d15e9841a54fa2cc0fe8c",
-}
-
 
 def _digest(output) -> str:
     return hashlib.sha256(repr(output).encode()).hexdigest()
@@ -197,11 +161,6 @@ class TestPurePython:
         counts = kernels.simulate_counts(6, 0.3, 0.4, 0.5, 5000, 11)
         assert sum(counts) == 5000 and len(counts) == 7
 
-    def test_enumeration_mass_sums_to_one(self):
-        for p01, p10, p1 in CHAINS:
-            mass = kernels.enumerate_visit_mass(10, p01, p10, p1)
-            assert math.fsum(mass) == pytest.approx(1.0, abs=1e-12)
-
     def test_degenerate_chain_is_deterministic(self):
         counts = kernels.simulate_counts(5, 0.25, 0.0, 1.0, 300, 8)
         assert counts[-1] == 300
@@ -241,7 +200,67 @@ class TestGoldenVectors:
         counts = kernels.simulate_counts(n, *chain, trials, seed)
         assert _digest(counts) == SIMULATE_EDGE_DIGESTS[n, trials, chain, seed]
 
-    @pytest.mark.parametrize("chain,n", list(ENUMERATE_DIGESTS))
-    def test_enumerate_visit_mass_matches_frozen_digest(self, chain, n):
-        mass = kernels.enumerate_visit_mass(n, *chain)
-        assert _digest(mass) == ENUMERATE_DIGESTS[chain, n]
+
+FINE = [Fraction(i, 4) for i in range(5)]
+
+
+def chain_weights(p01: Fraction, p10: Fraction, p1: Fraction) -> tuple[int, ...]:
+    """(p0, p1, p00, p01, p10, p11) as integers, scaled as the oracle
+    scales them: over w, d0 and d1, the denominators of p1, p01 and p10,
+    the initial ones over w and each transition over d0*d1."""
+    w, d0, d1 = p1.denominator, p01.denominator, p10.denominator
+    return (
+        w - p1.numerator, p1.numerator,
+        (d0 - p01.numerator) * d1, p01.numerator * d1,
+        p10.numerator * d0, (d1 - p10.numerator) * d0,
+    )
+
+
+def reference_visit_sums(n: int, p0, p1, p00, p01, p10, p11) -> list[int]:
+    """Every one of the 2**n paths, one at a time, with its integer weight."""
+    initial, rows = (p0, p1), ((p00, p01), (p10, p11))
+    sums = [0] * (n + 1)
+    for path in product((0, 1), repeat=n):
+        weight = initial[path[0]]
+        for a, b in zip(path, path[1:]):
+            weight *= rows[a][b]
+        sums[sum(path)] += weight
+    return sums
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("p01,p10,p1", list(product(FINE, repeat=3)), ids=str)
+    def test_fine_grid_equals_path_by_path_sums(self, p01, p10, p1):
+        weights = chain_weights(p01, p10, p1)
+        for n in range(1, 9):
+            assert kernels.enumerate_visit_mass(n, *weights) == reference_visit_sums(n, *weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        weights=st.lists(
+            st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**70)), min_size=6, max_size=6
+        ),
+    )
+    def test_any_integer_weights_equal_path_by_path_sums(self, n, weights):
+        """Zero weights (degenerate chains) and weights far past a double's
+        53 bits alike."""
+        assert kernels.enumerate_visit_mass(n, *weights) == reference_visit_sums(n, *weights)
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            ("3/10", "2/5", "1/2"),
+            ("13/97", "41/89", "29/83"),
+            (0, 1, 1),
+            (1, 0, 0),
+            ("1/100", "99/100", "1/4"),
+        ],
+    )
+    def test_sums_add_up_to_the_common_denominator(self, chain):
+        """All paths together weigh w*(d0*d1)**(n-1): the masses sum to one."""
+        p01, p10, p1 = map(Fraction, chain)
+        weights = chain_weights(p01, p10, p1)
+        for n in (1, 2, 10):
+            denominator = p1.denominator * (p01.denominator * p10.denominator) ** (n - 1)
+            assert sum(kernels.enumerate_visit_mass(n, *weights)) == denominator

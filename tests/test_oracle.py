@@ -16,7 +16,7 @@ from visitprob.closed_form import (
     visit_distribution,
 )
 from visitprob.errors import EnumerationGuardError, ParameterError, VisitProbError
-from visitprob.numerics import NumericMode, ProbValue, pow_prob
+from visitprob.numerics import NumericMode, ProbValue, convert, pow_prob
 from visitprob.oracle import (
     CensusCell,
     census_by_j,
@@ -27,6 +27,7 @@ from visitprob.oracle import (
 )
 
 GENERIC = ("3/10", "2/5", "1/2")
+FINE = [Fraction(i, 4) for i in range(5)]  # the fine validation grid
 
 rational_or_edge = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1)]),
@@ -227,6 +228,17 @@ class TestOracleDistribution:
             assert l.to_float() == pytest.approx(float(e.value), rel=1e-11)
 
 
+    @pytest.mark.parametrize("mode", [NumericMode.FLOAT, NumericMode.LOGSPACE])
+    @pytest.mark.parametrize("p01,p10,p1", list(product(FINE, repeat=3)), ids=str)
+    def test_float_and_logspace_are_the_exact_masses_converted(self, p01, p10, p1, mode):
+        """Bit for bit: a FLOAT mass is the exact one correctly rounded, a
+        LOGSPACE mass the log of the exact one, degenerate chains included."""
+        exact, chain = build_chain(p01, p10, p1), build_chain(p01, p10, p1, mode)
+        for n in range(1, 9):
+            want = [convert(m, mode).value for m in oracle_distribution(n, State.S1, exact).mass]
+            assert [m.value for m in oracle_distribution(n, State.S1, chain).mass] == want
+
+
 class TestCensus:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize(
@@ -247,9 +259,9 @@ class TestCensus:
 
     def test_guard_refuses_eagerly(self):
         c = build_chain(*GENERIC)
-        with pytest.raises(EnumerationGuardError, match="67108864"):
+        with pytest.raises(EnumerationGuardError, match=r"2\*\*26 trajectories"):
             census_by_j(26, 1, State.S1, State.S0, c)
-        with pytest.raises(EnumerationGuardError, match="67108864"):
+        with pytest.raises(EnumerationGuardError, match=r"2\*\*26 trajectories"):
             oracle_distribution(26, State.S1, c)
 
     def test_guard_override_parameter(self):
@@ -356,6 +368,10 @@ class TestSimulate:
         a = simulate(8, c, 2000, 77)
         b = simulate(8, c, 2000, 77)
         assert a.counts == b.counts
+
+    def test_equal_arguments_give_equal_results(self):
+        chain = build_chain(*GENERIC)
+        assert simulate(8, chain, 1000, 5) == simulate(8, chain, 1000, 5)
 
     def test_uniform_chain_close_to_closed_form(self):
         sym = build_chain("1/2", "1/2", "1/2")
