@@ -2,11 +2,11 @@
 
 The closed form (``visit_probability`` / ``visit_distribution``), an
 exhaustive-enumeration referee (``oracle_distribution``), a path census
-(``census_by_j``: a pruned depth-first walk that carries the visit count
-and the four transition counters, not path records) and a seeded Monte
-Carlo simulator (``simulate``) expose the same quantities through
-independent routes; the test suite holds them to bit-exact agreement in
-the exact backend.
+(``census_by_j``: builds only the paths it counts, each from the positions
+of its visits, and reads their transition counts from adjacent pairs) and
+a seeded Monte Carlo simulator (``simulate``) expose the same quantities
+through independent routes; the test suite holds them to bit-exact
+agreement in the exact backend.
 """
 
 from visitprob.chain_model import (

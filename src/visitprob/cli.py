@@ -36,7 +36,6 @@ from visitprob.chain_model import ChainSpec, State, VisitQuery, build_chain, swa
 from visitprob.closed_form import (
     FLOAT_MAX_HORIZON,
     VisitDistribution,
-    summation_limits,
     visit_distribution,
     visit_probability,
 )
@@ -134,14 +133,18 @@ def _term_count(k: int, n: int) -> int:
     """The closed form's count of interior terms behind one probability value,
     2c1 + c2 + c3 over its four branch sums, with 1 for a boundary k.
 
+    With m = min(k, n-k), the limits of an interior k are c1 = m,
+    c2 = min(k-1, n-k) and c3 = min(k, n-k-1): both are m - 1 when 2k = n,
+    and otherwise one is m and the other m - 1.  So 2c1 + c2 + c3 is
+    4m - 1, less one more when 2k = n.
+
     It counts the terms of the formula, not the engine's steps: every mode
     evaluates both masses of a pair (k, n-k) from three pair sums of
     c1 + c2 + c3 terms in all.
     """
     if k == 0 or k == n:
         return 1
-    lim = summation_limits(k, n)
-    return 2 * lim.c1 + lim.c2 + lim.c3
+    return 4 * min(k, n - k) - 1 - (2 * k == n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Three referees live here:
 
 * exhaustive enumeration of all 2**N trajectories with their exact
-  probabilities (the brute-force distribution), and a depth-first census
-  walk that carries only the current state, the visit count and the four
-  transition counters, pruning a branch once its visits pass k or can no
-  longer reach it;
+  probabilities (the brute-force distribution), and a path census that
+  builds only the paths it counts, each from the positions of its visits
+  to S1, and reads their transition counts from adjacent pairs;
 * a seeded Monte Carlo simulator with a pinned generator, so histograms
   are reproducible bit for bit across runs and machines;
 * total-variation distance for comparing any two distributions.
@@ -25,9 +24,11 @@ path grows with the size of those denominators.
 Nothing in this module evaluates the closed-form sums; agreement between
 the two routes is asserted by the test suite, not assumed here.
 
-Both walks are guarded: horizons above 25 (override with the
-``VISITPROB_ENUM_GUARD`` environment variable) are refused because the
-path count doubles per step.  Zero-probability paths are still walked:
+Both referees are guarded: horizons above 25 (override with the
+``VISITPROB_ENUM_GUARD`` environment variable, the one guard setting)
+are refused, because the distribution's path count doubles per step.
+The census builds C(N-2, k-ends) paths, so with the guard raised it stays
+cheap for few or many visits.  Zero-probability paths are still counted:
 they contribute zero mass, and the census counts paths, not probability.
 """
 
@@ -35,8 +36,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import gt, lt, mul
 
 from visitprob import kernels
 from visitprob.chain_model import (
@@ -76,40 +80,42 @@ def enumeration_guard() -> int:
         raise ParameterError(f"VISITPROB_ENUM_GUARD must be an integer, got {raw!r}") from exc
 
 
-def _check_enumerable(n: int, guard: int | None, k: int | None = None) -> None:
+def _check_enumerable(n: int, k: int | None = None) -> None:
     """Validate the horizon, then ``k`` when given, then the guard."""
     _check_horizon(n)
     if k is not None:
         _check_visits(k, n)
-    limit = guard if guard is not None else enumeration_guard()
-    if n > limit:
+    if n > (limit := enumeration_guard()):
         raise EnumerationGuardError(
             f"horizon {n} would enumerate 2**{n} trajectories, above the guard of {limit}"
         )
 
 
-def oracle_distribution(
-    n: int, target: State, chain: ChainSpec, *, guard: int | None = None
-) -> VisitDistribution:
+def oracle_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistribution:
     """Visit-count distribution by exhaustive enumeration.
 
     One integer walk (:func:`visitprob.kernels.enumerate_visit_mass`) in
     every mode; each bucket sum over w*(d0*d1)**(n-1) is the exact mass,
     which is converted once to the chain's mode (see the module docstring).
+    The walk recurses once per position, so a horizon past the
+    interpreter's recursion limit is refused like one past the guard.
     """
     _check_state(target, "target")
-    _check_enumerable(n, guard)
+    _check_enumerable(n)
     e01, e10, e1 = chain.exact
     w, d0, d1 = e1.denominator, e01.denominator, e10.denominator
-    sums = kernels.enumerate_visit_mass(
-        n,
-        w - e1.numerator,
-        e1.numerator,
-        (d0 - e01.numerator) * d1,
-        e01.numerator * d1,
-        e10.numerator * d0,
-        (d1 - e10.numerator) * d0,
-    )
+    try:
+        sums = kernels.enumerate_visit_mass(
+            n,
+            w - e1.numerator, e1.numerator,  # initial placement, over w
+            (d0 - e01.numerator) * d1, e01.numerator * d1,  # out of S0, over d0*d1
+            e10.numerator * d0, (d1 - e10.numerator) * d0,  # out of S1, over d0*d1
+        )
+    except RecursionError:
+        raise EnumerationGuardError(
+            f"horizon {n} is deeper than the enumeration walk can recurse"
+            f" (recursion limit {sys.getrecursionlimit()})"
+        ) from None
     denominator = w * (d0 * d1) ** (n - 1)
     if target is State.S0:
         sums = sums[::-1]  # k visits to S0 == n-k visits to S1
@@ -135,56 +141,44 @@ class CensusCell:
 
 
 def census_by_j(
-    n: int,
-    k: int,
-    initial: State,
-    final: State,
-    chain: ChainSpec,
-    *,
-    guard: int | None = None,
+    n: int, k: int, initial: State, final: State, chain: ChainSpec
 ) -> dict[int, CensusCell]:
     """Group the paths (initial -> ... -> final, exactly k visits to S1) by
     their number of S1 -> S0 transitions.
 
-    Walks only the paths that start in ``initial`` and can still end with
-    k visits.  Verifies monomial homogeneity: every matching path in a
-    group must carry the same transition-type counts, hence the same
-    probability monomial.  The returned ``term`` is that shared monomial
-    (initial-placement factor excluded).
+    Builds each matching path from the positions of its k visits:
+    ``initial`` and ``final`` fix the two ends, and the remaining visits
+    take every choice of inner positions.  Each path's transition counts
+    are read from its adjacent pairs.  Verifies monomial homogeneity:
+    every matching path in a group must carry the same transition-type
+    counts, hence the same probability monomial.  The returned ``term`` is
+    that shared monomial (initial-placement factor excluded).
     """
     _check_state(initial, "initial")
     _check_state(final, "final")
-    _check_enumerable(n, guard, k)
+    _check_enumerable(n, k)
     seen: dict[int, list] = {}
-    counts = [[0, 0], [0, 0]]  # counts[a][b]: transitions a -> b so far
-
-    def walk(depth: int, prev: int, visits: int) -> None:
-        # Prune: too many visits already, or too few positions left for k.
-        if visits > k or visits + n - depth < k:
-            return
-        if depth == n:
-            if prev == final:
-                tc = TransitionCounts(
-                    n00=counts[0][0], n01=counts[0][1],
-                    n10=counts[1][0], n11=counts[1][1],
+    ends = [0] * n
+    ends[0], ends[-1] = int(initial), int(final)  # one slot when n == 1
+    inner = k - sum(ends)
+    # No path matches when one slot cannot hold two different ends, or when
+    # the ends already carry more than k visits.
+    if ends[0] == initial and inner >= 0:
+        for visits in combinations(range(1, n - 1), inner):
+            path = ends.copy()
+            for i in visits:
+                path[i] = 1
+            nxt = path[1:]
+            n11 = sum(map(mul, path, nxt))
+            n10 = sum(map(gt, path, nxt))
+            n01 = sum(map(lt, path, nxt))
+            tc = TransitionCounts(n00=n - 1 - n11 - n10 - n01, n01=n01, n10=n10, n11=n11)
+            cell = seen.setdefault(n10, [0, tc])
+            if tc != cell[1]:
+                raise VisitProbError(
+                    f"monomial homogeneity violated in census cell j={n10}: {tc} vs {cell[1]}"
                 )
-                cell = seen.get(tc.n10)
-                if cell is None:
-                    seen[tc.n10] = [1, tc]
-                elif tc != cell[1]:
-                    raise VisitProbError(
-                        f"monomial homogeneity violated in census cell j={tc.n10}: "
-                        f"{tc} vs {cell[1]}"
-                    )
-                else:
-                    cell[0] += 1
-            return
-        for nxt in (0, 1):
-            counts[prev][nxt] += 1
-            walk(depth + 1, nxt, visits + nxt)
-            counts[prev][nxt] -= 1
-
-    walk(1, int(initial), int(initial))
+            cell[0] += 1
     out: dict[int, CensusCell] = {}
     for j in sorted(seen):
         count, tc = seen[j]

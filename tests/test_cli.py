@@ -199,6 +199,24 @@ class TestOracleCommand:
         assert code == 3
         assert "2**26" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_census_past_the_recursion_depth(self, capsys, monkeypatch, fmt):
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "2000")
+        code, out, err = run_cli(
+            capsys, "oracle", "--census", *GENERIC, "--n", "1500", "--k", "1",
+            "--initial", "1", "--final", "0", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            assert [(r["j"], r["count"], r["n00"]) for r in rows] == [(1, 1, 1498)]
+
+    def test_distribution_past_the_recursion_depth_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "2000")
+        code, out, err = run_cli(capsys, "oracle", *GENERIC, "--n", "1500")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: horizon 1500 ") and "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_byte_identical_reruns(self, capsys):
@@ -337,6 +355,14 @@ def test_term_count_is_the_evaluators_count(mode, n):
     assert ev.terms_evaluated - before == sum(
         cli._term_count(m, n) - summation_limits(m, n).c1 for m in alone
     ) + 3 * (len(pairs) - len(alone))
+
+
+def test_term_count_formula_is_the_summation_limits():
+    """4*min(k, n-k) - 1 - [2k = n] is 2c1 + c2 + c3 of every interior k."""
+    for n in range(2, 301):
+        for k in range(1, n):
+            lim = summation_limits(k, n)
+            assert cli._term_count(k, n) == 2 * lim.c1 + lim.c2 + lim.c3, (k, n)
 
 
 class TestTextOutput:

@@ -244,7 +244,7 @@ class TestCensus:
     @pytest.mark.parametrize(
         "spec", [GENERIC, (0, 1, "1/2"), (1, 0, 0)], ids=["generic", "flip", "absorbing"]
     )
-    def test_pruned_walk_matches_reference_census(self, spec, n):
+    def test_position_enumeration_matches_reference_census(self, spec, n):
         """Cell for cell, term included, for every (k, initial, final); the
         degenerate chains give most paths probability zero, and those paths
         must still be counted."""
@@ -264,18 +264,37 @@ class TestCensus:
         with pytest.raises(EnumerationGuardError, match=r"2\*\*26 trajectories"):
             oracle_distribution(26, State.S1, c)
 
-    def test_guard_override_parameter(self):
+    def test_guard_setting_overrides_default(self, monkeypatch):
         c = build_chain(*GENERIC)
         # The one path S1 S0 ... S0: allowed past the default guard, and cheap
-        # because every branch that visits S1 again is pruned at once.
-        cells = census_by_j(26, 1, State.S1, State.S0, c, guard=30)
+        # because its one visit to S1 is the fixed first position.
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "30")
+        cells = census_by_j(26, 1, State.S1, State.S0, c)
         assert {j: (x.count, x.transitions) for j, x in cells.items()} == {
             1: (1, TransitionCounts(n00=24, n10=1))
         }
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "4")
         with pytest.raises(EnumerationGuardError):
-            census_by_j(5, 2, State.S1, State.S0, c, guard=4)
+            census_by_j(5, 2, State.S1, State.S0, c)
         with pytest.raises(EnumerationGuardError):
-            oracle_distribution(5, State.S1, c, guard=4)
+            oracle_distribution(5, State.S1, c)
+
+    def test_census_past_the_recursion_depth(self, monkeypatch):
+        """The census builds one path per choice of inner visit positions,
+        so one visit at N = 1500 is one path, whatever the stack depth."""
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "2000")
+        cells = census_by_j(1500, 1, State.S1, State.S0, build_chain(*GENERIC))
+        assert {j: (x.count, x.transitions) for j, x in cells.items()} == {
+            1: (1, TransitionCounts(n00=1498, n10=1))
+        }
+
+    def test_distribution_past_the_recursion_depth_is_refused(self, monkeypatch):
+        """The distribution walk recurses once per position; past the
+        interpreter's recursion limit it is refused like a horizon past
+        the guard, naming the horizon."""
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "2000")
+        with pytest.raises(EnumerationGuardError, match="horizon 1500 "):
+            oracle_distribution(1500, State.S1, build_chain(*GENERIC))
 
     def test_guard_env_override(self, monkeypatch):
         c = build_chain(*GENERIC)
