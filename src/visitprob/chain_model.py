@@ -98,6 +98,8 @@ class ChainSpec:
     p11: ProbValue = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, NumericMode):
+            raise ParameterError(f"mode must be a NumericMode, got {self.mode!r}")
         e01, e10, e1 = exact = tuple(
             parse_probability(raw, NumericMode.EXACT, name=name).value
             for name, raw in (("p01", self.p01), ("p10", self.p10), ("p1", self.p1))

@@ -40,7 +40,11 @@ The histogram equals the one-at-a-time loop's bit for bit;
 The enumeration kernel knows no probabilities and no numeric mode: it
 sums integer path weights per visit count, and
 :func:`visitprob.oracle.oracle_distribution` scales the chain to those
-integers and divides once at the end.
+integers and divides once at the end.  It meets in the middle: it walks
+every head of the first ceil(n/2) positions and every tail of the rest,
+then combines head and tail sums that share the state between them, so
+it walks about 3 * 2**(n/2) half-paths, recurses about n/2 deep, and
+still counts each of the 2**n paths once.
 """
 
 from __future__ import annotations
@@ -113,6 +117,30 @@ def simulate_counts(
     return counts
 
 
+def _walk(rows, start: int, length: int) -> tuple[list[int], list[int]]:
+    """Summed weight of every ``length``-position path by S1-visit count,
+    one list per last state; the first position is placed by ``rows[start]``.
+
+    Depth-first, one recursion level per position; the last position's
+    two weights go into their buckets in place.
+    """
+    sums = ([0] * (length + 1), [0] * (length + 1))
+    ends0, ends1 = sums
+    last = length - 1
+
+    def walk(depth: int, state: int, weight: int, visits: int) -> None:
+        to0, to1 = rows[state]
+        if depth == last:
+            ends0[visits] += weight * to0
+            ends1[visits + 1] += weight * to1
+            return
+        walk(depth + 1, 0, weight * to0, visits)
+        walk(depth + 1, 1, weight * to1, visits + 1)
+
+    walk(0, start, 1, 0)
+    return sums
+
+
 def enumerate_visit_mass(
     n: int, p0: int, p1: int, p00: int, p01: int, p10: int, p11: int
 ) -> list[int]:
@@ -120,24 +148,28 @@ def enumerate_visit_mass(
 
     A path's weight is the product of its initial weight (``p0`` or
     ``p1``) and its n - 1 transition weights (``pab`` for a -> b), all
-    nonnegative integers, so every bucket sum is exact and the order of
-    the depth-first walk does not show in it.  The walk adds the last
-    transition's two weights into their buckets in place.
+    nonnegative integers, so every bucket sum is exact and the order in
+    which paths are added does not show in it.
+
+    The sum meets in the middle (Horowitz and Sahni, J. ACM 21, 1974): a
+    path is a head of its first a = ceil(n/2) positions and a tail of the
+    other n - a, and the tail's weight depends on the head only through
+    the head's last state s, whose row places the tail's first position.
+    So the heads are walked once from the initial row, summed by visit
+    count and last state, the tails once from each row s, summed by visit
+    count, and ``sums[v + u] += head[s][v] * tail_s[u]``.  That is
+    2**a + 2 * 2**(n - a) half-paths and 2(a + 1)(n - a + 1) products in
+    place of 2**n paths, with each path still counted exactly once.
     """
-    sums = [0] * (n + 1)
     rows = ((p00, p01), (p10, p11), (p0, p1))  # row 2: the initial placement
-    last = n - 1
-
-    def walk(depth: int, state: int, weight: int, visits: int) -> None:
-        to0, to1 = rows[state]
-        if depth == last:
-            sums[visits] += weight * to0
-            sums[visits + 1] += weight * to1
-            return
-        walk(depth + 1, 0, weight * to0, visits)
-        walk(depth + 1, 1, weight * to1, visits + 1)
-
-    walk(0, 2, 1, 0)
+    a = n - n // 2
+    sums = [0] * (n + 1)
+    for s, head in enumerate(_walk(rows, 2, a)):
+        # At n == 1 the tail is empty: one path of weight 1 and no visits.
+        tail = [x + y for x, y in zip(*_walk(rows, s, n - a))] if n > a else [1]
+        for v, h in enumerate(head):
+            for u, t in enumerate(tail, v):
+                sums[u] += h * t
     return sums
 
 

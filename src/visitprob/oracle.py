@@ -3,7 +3,9 @@
 Three referees live here:
 
 * exhaustive enumeration of all 2**N trajectories with their exact
-  probabilities (the brute-force distribution), and a path census that
+  probabilities (the brute-force distribution, summed by meeting in the
+  middle: every head of the first ceil(N/2) positions is combined with
+  every tail of the rest), and a path census that
   builds only the paths it counts, each from the positions of its visits
   to S1, and reads their transition counts from adjacent pairs;
 * a seeded Monte Carlo simulator with a pinned generator, so histograms
@@ -19,14 +21,16 @@ path's probability is an integer over w*(d0*d1)**(N-1).  Each visit
 count's exact mass is one ``Fraction`` built at the end and then
 converted to the chain's mode: a FLOAT mass is the exact one correctly
 rounded, a LOGSPACE mass is the log of the exact one.  The cost of each
-path grows with the size of those denominators.
+half-path and product grows with the size of those denominators.
 
 Nothing in this module evaluates the closed-form sums; agreement between
 the two routes is asserted by the test suite, not assumed here.
 
 Both referees are guarded: horizons above 25 (override with the
 ``VISITPROB_ENUM_GUARD`` environment variable, the one guard setting)
-are refused, because the distribution's path count doubles per step.
+are refused, because the distribution's path count doubles per step
+(its half-walks double every two steps).  A distribution horizon past
+the interpreter's recursion limit is refused too, whatever the guard.
 The census builds C(N-2, k-ends) paths, so with the guard raised it stays
 cheap for few or many visits.  Zero-probability paths are still counted:
 they contribute zero mass, and the census counts paths, not probability.
@@ -97,25 +101,24 @@ def oracle_distribution(n: int, target: State, chain: ChainSpec) -> VisitDistrib
     One integer walk (:func:`visitprob.kernels.enumerate_visit_mass`) in
     every mode; each bucket sum over w*(d0*d1)**(n-1) is the exact mass,
     which is converted once to the chain's mode (see the module docstring).
-    The walk recurses once per position, so a horizon past the
-    interpreter's recursion limit is refused like one past the guard.
+    The walk recurses about n/2 deep, but a horizon past the interpreter's
+    recursion limit is refused like one past the guard: with the guard
+    raised that far, the 2**(n/2) half-paths would never finish.
     """
     _check_state(target, "target")
     _check_enumerable(n)
+    if n > (depth := sys.getrecursionlimit()):
+        raise EnumerationGuardError(
+            f"horizon {n} is past the enumeration walk's recursion limit of {depth}"
+        )
     e01, e10, e1 = chain.exact
     w, d0, d1 = e1.denominator, e01.denominator, e10.denominator
-    try:
-        sums = kernels.enumerate_visit_mass(
-            n,
-            w - e1.numerator, e1.numerator,  # initial placement, over w
-            (d0 - e01.numerator) * d1, e01.numerator * d1,  # out of S0, over d0*d1
-            e10.numerator * d0, (d1 - e10.numerator) * d0,  # out of S1, over d0*d1
-        )
-    except RecursionError:
-        raise EnumerationGuardError(
-            f"horizon {n} is deeper than the enumeration walk can recurse"
-            f" (recursion limit {sys.getrecursionlimit()})"
-        ) from None
+    sums = kernels.enumerate_visit_mass(
+        n,
+        w - e1.numerator, e1.numerator,  # initial placement, over w
+        (d0 - e01.numerator) * d1, e01.numerator * d1,  # out of S0, over d0*d1
+        e10.numerator * d0, (d1 - e10.numerator) * d0,  # out of S1, over d0*d1
+    )
     denominator = w * (d0 * d1) ** (n - 1)
     if target is State.S0:
         sums = sums[::-1]  # k visits to S0 == n-k visits to S1

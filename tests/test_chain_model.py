@@ -77,6 +77,13 @@ class TestBuildChain:
         assert c.p01.to_float() == pytest.approx(0.25, rel=1e-15)
         assert c.p00.to_float() == pytest.approx(0.75, rel=1e-15)
 
+    @pytest.mark.parametrize("mode", ["exact", "float", "fast", 0, None])
+    def test_mode_must_be_a_numeric_mode(self, mode):
+        """A mode's name as a string once failed inside ``convert`` with
+        "unknown numeric mode 'exact'", calling a valid mode unknown."""
+        with pytest.raises(ParameterError, match=f"mode must be a NumericMode, got {mode!r}"):
+            build_chain("3/10", "2/5", "1/2", mode=mode)
+
     def test_exact_row_sums_hold_exactly(self):
         c = build_chain("1/3", "1/7", "22/23")
         assert c.p00.value + c.p01.value == 1

@@ -235,16 +235,24 @@ class TestEnumeration:
         for n in range(1, 9):
             assert kernels.enumerate_visit_mass(n, *weights) == reference_visit_sums(n, *weights)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(1, 8),
+        n=st.integers(1, 16),
         weights=st.lists(
             st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**70)), min_size=6, max_size=6
         ),
     )
+    @example(n=1, weights=[2**70, 3, 0, 0, 0, 0])  # one position: the tail is empty
+    @example(n=1, weights=[0, 0, 5, 7, 11, 13])
+    @example(n=2, weights=[3, 2**70, 0, 1, 2**70, 0])  # one head and one tail position
+    @example(n=2, weights=[0, 1, 1, 0, 0, 1])
+    @example(n=15, weights=[2**70, 2**70 - 1, 2**70, 1, 0, 2**70])  # head one longer than tail
+    @example(n=16, weights=[2**70, 2**70 - 1, 2**70, 1, 0, 2**70])  # head and tail alike
+    @example(n=16, weights=[0, 0, 0, 0, 0, 0])
+    @example(n=16, weights=[1, 0, 0, 1, 1, 0])  # one path: S0, S1, S0, ...
     def test_any_integer_weights_equal_path_by_path_sums(self, n, weights):
         """Zero weights (degenerate chains) and weights far past a double's
-        53 bits alike."""
+        53 bits alike, for horizons of both parities."""
         assert kernels.enumerate_visit_mass(n, *weights) == reference_visit_sums(n, *weights)
 
     @pytest.mark.parametrize(
@@ -261,6 +269,6 @@ class TestEnumeration:
         """All paths together weigh w*(d0*d1)**(n-1): the masses sum to one."""
         p01, p10, p1 = map(Fraction, chain)
         weights = chain_weights(p01, p10, p1)
-        for n in (1, 2, 10):
+        for n in (1, 2, 10, 25):
             denominator = p1.denominator * (p01.denominator * p10.denominator) ** (n - 1)
             assert sum(kernels.enumerate_visit_mass(n, *weights)) == denominator

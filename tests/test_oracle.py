@@ -211,6 +211,25 @@ class TestOracleDistribution:
             (m.value.numerator, m.value.denominator) for m in closed.mass
         ]
 
+    @pytest.mark.parametrize(
+        "spec", [GENERIC, ("13/97", "41/89", "29/83"), ("0", "2/7", "1")], ids=str
+    )
+    def test_referee_at_the_guard(self, spec, monkeypatch):
+        """At the default guard, N = 25, the exact referee is bit-equal to
+        the closed form, degenerate chain (p01 = 0, p1 = 1) included, and
+        its float and logspace masses are the exact ones converted."""
+        monkeypatch.delenv("VISITPROB_ENUM_GUARD", raising=False)
+        n = enumeration_guard()
+        assert n == 25
+        brute = oracle_distribution(n, State.S1, build_chain(*spec))
+        closed = visit_distribution(n, State.S1, build_chain(*spec))
+        assert [(m.value.numerator, m.value.denominator) for m in brute.mass] == [
+            (m.value.numerator, m.value.denominator) for m in closed.mass
+        ]
+        for mode in (NumericMode.FLOAT, NumericMode.LOGSPACE):
+            got = oracle_distribution(n, State.S1, build_chain(*spec, mode))
+            assert [m.value for m in got.mass] == [convert(m, mode).value for m in brute.mass]
+
     def test_float_mode_close_to_exact(self):
         exact = oracle_distribution(10, State.S1, build_chain(*GENERIC))
         floats = oracle_distribution(
@@ -289,9 +308,10 @@ class TestCensus:
         }
 
     def test_distribution_past_the_recursion_depth_is_refused(self, monkeypatch):
-        """The distribution walk recurses once per position; past the
-        interpreter's recursion limit it is refused like a horizon past
-        the guard, naming the horizon."""
+        """Past the interpreter's recursion limit the distribution is
+        refused like a horizon past the guard, naming the horizon: its
+        half-walks recurse only about N/2 deep, but 2**750 head paths
+        would never finish."""
         monkeypatch.setenv("VISITPROB_ENUM_GUARD", "2000")
         with pytest.raises(EnumerationGuardError, match="horizon 1500 "):
             oracle_distribution(1500, State.S1, build_chain(*GENERIC))
