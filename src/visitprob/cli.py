@@ -231,10 +231,14 @@ def _census_output(args, mode: NumericMode, chain: ChainSpec, inputs: dict) -> t
                 **{f"term_{name}": v for name, v in _prob_fields(cell.term).items()},
             }
         )
+    # The paths the census built, not the 2**N it chose them from: from
+    # N = 14285 on, that power passes the int-to-str digit limit (4300) and
+    # json.dumps raises ValueError.
+    paths = sum(r["count"] for r in rows)
     body = {
         "inputs": inputs,
         "rows": rows,
-        "diagnostics": {"paths": 2**args.n, "cells": len(rows)},
+        "diagnostics": {"paths": paths, "cells": len(rows)},
     }
     columns = ["j", "count", "n11", "n10", "n01", "n00", "monomial"]
     columns += [f"term_{name}" for name in _PROB_FIELDS[mode]]
@@ -250,7 +254,7 @@ def _census_output(args, mode: NumericMode, chain: ChainSpec, inputs: dict) -> t
                 f"  j={row['j']}  count={row['count']:<6d} {row['monomial']}"
                 f"  term={row['term_probability']}"
             )
-        print(f"  total paths: {sum(r['count'] for r in rows)}")
+        print(f"  total paths: {paths}")
 
     return EXIT_OK, body, columns, rows, text
 

@@ -39,7 +39,14 @@ c1, c3 and c2, p00 and p11 trade places in these factors and T_B and T_C
 trade branches: T_B gives S0->S0 and T_C gives S1->S1.  A pair so forms
 c1 + c2 + c3 terms where its eight branch sums have 2 * (2c1 + c2 + c3).
 Each mode supplies the three sums and the operator that applies these
-factors (product, or sum of logs); the rest is shared.
+factors (product, or sum of logs); the rest is shared.  In EXACT mode a
+whole distribution does not form the eight branch values: with
+e = n-2m-1, every factor of k = m holds p00**e and every one of k = n-m
+holds p11**e, so ``_Evaluator._factored`` takes each of the two masses
+from T_A, T_B and T_C, a few small per-chain constants and one product by
+that power.  Integer products associate, so its integers are those of the
+branch values assembled one by one; FLOAT and LOGSPACE, whose rounding
+would move, and a single k keep the branch values.
 
 FLOAT and LOGSPACE read each sum's terms from slices of binomial rows a and
 b (incremental doubles, or log-factorial differences) and of the powers
@@ -103,11 +110,13 @@ only inside a middle band (at N = 1100, 394 <= k <= 706; at N = 2000,
 232 <= k <= 1768).  Outside it the value is usable: at N = 1100, k = 1, 100,
 300 and 393 came within 7e-14 relative of exact on three chains.
 
-Every mode assembles every mass from raw payloads (EXACT numerators, FLOAT
+Every mode assembles a mass from raw payloads (EXACT numerators, FLOAT
 doubles, LOGSPACE logs) by the same steps, with its own constants and its
 ``numerics.ARITHMETIC``, and makes one ``ProbValue`` of it; at k = 0 and
 k = N the conditionals are p00**(N-1) or p11**(N-1) and zero, scaled like
-a branch.  An interior mass reads only the shared power tables and, in
+a branch.  An EXACT distribution takes its interior raw masses from
+``_Evaluator._factored`` instead, the same integers by fewer products.
+An interior mass reads only the shared power tables and, in
 FLOAT and LOGSPACE, binomial rows k-1 and N-k-1, which only
 P(N1 = N-k | N) also reads.  So a distribution is
 evaluated by pairs (m, N-m), and the evaluator keeps just the two rows (or
@@ -356,12 +365,15 @@ class _Evaluator:
     one pair by term ratios, so its rows are their indices, and a run by the
     recurrence in m; FLOAT and LOGSPACE keep the mode's row builder and
     reduction and sum every pair alone.  ``_pair`` evaluates every interior
-    k, alone or with its mirror n-k."""
+    k, alone or with its mirror n-k.  ``_masses`` turns a pair's three sums
+    into its raw masses in a distribution: EXACT's ``_factored`` with one
+    full-size product per mass, FLOAT's and LOGSPACE's ``_branch_masses``
+    through ``_pair``, ``_by_start`` and ``_mass``, as a single k goes."""
 
     __slots__ = (
         "chain", "n", "mode", "terms_evaluated", "_pows", "_cross", "_xy_pows", "_ends",
-        "_combine", "_add", "_scales", "_weights", "_sure", "_sum", "_sequence", "_row",
-        "_reduce",
+        "_combine", "_add", "_scales", "_weights", "_sure", "_sum", "_sequence", "_masses",
+        "_factors", "_row", "_reduce",
     )
 
     def __init__(self, chain: ChainSpec, n: int):
@@ -384,11 +396,16 @@ class _Evaluator:
             self._weights, self._sure = (u, w - u), w
             # _pair_sum forms its binomials by term ratios: a row is its index.
             self._row, self._sum = (lambda r, length: r), _Evaluator._pair_sum
-            self._sequence = _Evaluator._recurrence_sums
+            self._sequence, self._masses = _Evaluator._recurrence_sums, _Evaluator._factored
+            # alpha, beta and gamma of _factored: what T_A, T_B and T_C carry
+            # into a mass besides the powers of p00 and p11.
+            (d0, d1), (p01, p10) = self._scales, bases[1:3]
+            self._factors = (u * p10 * d0 + (w - u) * p01 * d1, u * d1, (w - u) * d0)
         else:
             self._scales, self._sure = (ar.one, ar.one), ar.one
             self._weights = (chain.p1.value, chain.p0.value)
             self._sum, self._sequence = _Evaluator._sliced_sum, _Evaluator._each_pair_sums
+            self._masses = _Evaluator._branch_masses
             if self.mode is NumericMode.FLOAT:
                 self._row = _float_row
                 self._reduce = lambda terms: _finite_sum(terms, n)
@@ -445,18 +462,24 @@ class _Evaluator:
             return
         n = self.n
         x, y = self._xy_pows[0][1], self._xy_pows[1][1]
+        e_a, e_b, e_c = _SHIFTS
         older = newer = ()
         for m in range(1, ms[-1] + 1):
             if m < 3:
                 sums = self._pair_sums(m)
             else:
                 self.terms_evaluated += 3
-                middle = 2 * m == n
-                coefficients = functools.partial(_recurrence_coefficients, m - 2, n, x, y)
-                steps = zip(map(coefficients, _SHIFTS[: 3 - middle]), older, newer)
-                sums = tuple(-(q0 * t0 + q1 * t1) // q2 for (q0, q1, q2), t0, t1 in steps)
-                if middle:
-                    sums += sums[1:]
+                (a0, b0, c0), (a1, b1, c1) = older, newer
+                q0, q1, q2 = _recurrence_coefficients(m - 2, n, x, y, e_a)
+                t_a = -(q0 * a0 + q1 * a1) // q2
+                q0, q1, q2 = _recurrence_coefficients(m - 2, n, x, y, e_b)
+                t_b = -(q0 * b0 + q1 * b1) // q2
+                if 2 * m < n:
+                    q0, q1, q2 = _recurrence_coefficients(m - 2, n, x, y, e_c)
+                    t_c = -(q0 * c0 + q1 * c1) // q2
+                else:
+                    t_c = t_b
+                sums = (t_a, t_b, t_c)
             older, newer = newer, sums
             if m in ms:
                 yield m, sums
@@ -488,6 +511,43 @@ class _Evaluator:
             same1, same0 = (short, long) if k == m else (long, short)
             branches.append((op(p10, cross), same1, op(p01, cross), same0))
         return branches
+
+    def _branch_masses(self, m: int, sums: tuple) -> list[tuple]:
+        """[(k, raw P(N1 = k))] for k = m and, if 2m < n, k = n-m, from the
+        three pair sums of m: the eight branch values of ``_pair``, each k's
+        scaled and weighted by ``_by_start`` and ``_mass``."""
+        ks = (m, self.n - m) if 2 * m < self.n else (m,)
+        return list(zip(ks, map(self._mass, map(self._by_start, self._pair(ks, sums)))))
+
+    def _factored(self, m: int, sums: tuple) -> list[tuple]:
+        """EXACT ``_branch_masses``, the same integers with one full-size
+        product per mass.
+
+        With e = n-2m-1, every branch factor of k = m holds P00**e and every
+        one of k = n-m holds P11**e, so each mass takes that power once.
+        With alpha = u*P10*d0 + (w-u)*P01*d1, beta = u*d1 and
+        gamma = (w-u)*d0, where the weights u and w-u and the scales d0 and
+        d1 are those of ``_mass`` and ``_by_start``,
+
+            raw(m)   = P00**e * (P00 * (alpha*T_A + beta*P00*T_B) + gamma*T_C)
+            raw(n-m) = P11**e * (P11 * (alpha*T_A + gamma*P11*T_B) + beta*T_C)
+
+        and at the middle pair 2m = n, raw(m) = alpha*T_A + beta*P00*T_B +
+        gamma*P11*T_C.  Integer products associate, so no bit differs from
+        ``_branch_masses``.
+        """
+        n = self.n
+        t_a, t_b, t_c = sums
+        alpha, beta, gamma = self._factors
+        pow00, pow11 = self._pows
+        p00, p11 = pow00[1], pow11[1]
+        if 2 * m == n:
+            return [(m, alpha * t_a + beta * p00 * t_b + gamma * p11 * t_c)]
+        e, cross = n - 2 * m - 1, alpha * t_a
+        return [
+            (m, pow00[e] * (p00 * (cross + beta * p00 * t_b) + gamma * t_c)),
+            (n - m, pow11[e] * (p11 * (cross + gamma * p11 * t_b) + beta * t_c)),
+        ]
 
     def _sliced_sum(self, row_a: list, row_b: list, c: int, d1: int, d2: int):
         """FLOAT or LOGSPACE sum over i = 0..c-1 of C(a, i+d1) * C(b, i+d2) *
@@ -584,25 +644,30 @@ class _Evaluator:
 # (visitprob.split).  On a 2-core VM, when the second core is busy, the fork
 # and a child that starts 2-6 ms late cost up to 25 % at N = 200-400 and
 # about 10 % from N = 400 on.  With it idle, serial -> split, medians of 15,
-# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: medians of 15 and 9 runs
-# from two sessions, and of 5 runs from three sessions at N = 2000 and 4000,
-# chain 3/10, 2/5, 1/2, then 13/97, 41/89, 29/83):
-#   EXACT     N = 400   0.0048-0.0049 -> 0.0075-0.0091 s, 0.0061-0.0063 -> 0.0098-0.0100 s
-#             N = 1000  0.022-0.030 -> 0.030 s,          0.041-0.064 -> 0.053-0.059 s
-#             N = 2000  0.090-0.122 -> 0.117-0.148 s,    0.21-0.30 -> 0.20-0.26 s
-#             N = 4000  0.47-0.53 -> 0.54-0.62 s,        1.45-1.53 -> 0.84-1.01 s
+# two or three runs, chain 3/10, 2/5, 1/2 (EXACT: minimum to median of 9, 7,
+# 5 and 3 runs at N = 400, 1000, 2000 and 4000 in each of two sessions,
+# chains 3/10, 2/5, 1/2, then 13/97, 41/89, 29/83, then 1/10000, 1/10000, 1/2):
+#   EXACT     N = 400   0.0023-0.0030 -> 0.0048-0.0066 s, 0.0029-0.0037 -> 0.0063-0.0093 s,
+#                       0.0084-0.0107 -> 0.011-0.017 s
+#             N = 1000  0.0095-0.012 -> 0.016-0.020 s,    0.016-0.027 -> 0.027-0.044 s,
+#                       0.059-0.070 -> 0.056-0.080 s
+#             N = 2000  0.036-0.049 -> 0.056-0.068 s,     0.070-0.113 -> 0.096-0.149 s,
+#                       0.29-0.35 -> 0.25-0.30 s
+#             N = 4000  0.20-0.31 -> 0.25-0.38 s,         0.33-0.40 -> 0.33-0.52 s,
+#                       1.43-1.83 -> 1.12-1.45 s
 #   FLOAT     N = 200   0.006-0.008 -> 0.006-0.009 s
 #             N = 400   0.016-0.018 -> 0.013-0.016 s
 #             N = 1000  0.092-0.093 -> 0.057-0.062 s
 #   LOGSPACE  N = 200   0.007-0.011 -> 0.009-0.011 s
 #             N = 400   0.023-0.032 -> 0.017-0.021 s
 #             N = 1000  0.11-0.16 -> 0.074-0.094 s
-# EXACT takes its pair sums from the recurrence in m and reduces each mass
-# against w * d0 * d1, so its split costs time at N = 400, breaks even near
-# N = 1000, costs 12-31 % on the first chain at N = 2000 and 4000, and on
-# the second goes from an 18 % loss to a 33 % gain at N = 2000 and gains
-# 34-42 % at N = 4000: both processes run the whole recurrence, and the
-# parent builds every Fraction.  One threshold serves every mode.
+# EXACT takes its pair sums from the recurrence in m, its masses with one
+# full-size product each and reduces them against w * d0 * d1, so its split
+# costs time on the first two chains at every N measured (medians +21 % to
+# +150 %), breaks even on the third, whose numerators are large, at
+# N = 1000 and gains 14-21 % on it from N = 2000 on: both processes run the
+# whole recurrence, and the parent builds every Fraction.  One threshold
+# serves every mode.
 _SPLIT_MIN_HORIZON = 400
 
 
@@ -611,14 +676,13 @@ def _pair_masses(ev: _Evaluator, ms: range) -> dict[int, object]:
     ``ms`` (increasing), as ``_Evaluator._probs`` reads them.
 
     The mode's ``_sequence`` gives the three pair sums of each m in ``ms``,
-    and one ``_Evaluator._pair`` call derives both masses of the pair from
-    them.
+    and its ``_masses`` both masses of the pair from them: EXACT's
+    ``_Evaluator._factored`` with one full-size product per mass, FLOAT's and
+    LOGSPACE's ``_Evaluator._branch_masses`` through the eight branch values.
     """
-    n = ev.n
     masses = {}
     for m, sums in ev._sequence(ev, ms):
-        ks = (m, n - m) if 2 * m < n else (m,)
-        masses.update(zip(ks, map(ev._mass, map(ev._by_start, ev._pair(ks, sums)))))
+        masses.update(ev._masses(ev, m, sums))
     return masses
 
 

@@ -48,7 +48,9 @@ def split_masses(ev) -> dict:
     2 * m + 1 binomial-row entries, so alternate pairs give both processes,
     to within 3 terms and 2 row entries per pair, half of the work.  In
     EXACT each process runs the pair-sum recurrence through every m up to
-    its last and derives the masses of its own pairs only.  The child
+    its last and takes the masses of its own pairs only, each by
+    ``closed_form._Evaluator._factored`` with one full-size product; the
+    recurrence and the parent's ``Fraction``s are not shared.  The child
     sends its ``{k: raw}`` through a pipe with ``marshal``.  If it fails
     or dies, this process computes its share too, so the caller sees the
     serial pair loop's result or exception; if this process raises, the

@@ -211,6 +211,21 @@ class TestOracleCommand:
             rows = json.loads(out)["rows"]
             assert [(r["j"], r["count"], r["n00"]) for r in rows] == [(1, 1, 1498)]
 
+    @pytest.mark.parametrize("n, k, paths", [("8", "4", 20), ("14285", "1", 1)])
+    def test_census_diagnostics_count_the_paths_built(self, capsys, monkeypatch, n, k, paths):
+        """``diagnostics.paths`` is the sum of the cells' counts, the text
+        output's "total paths".  At N = 14285, 2**N would pass the int-to-str
+        digit limit, and the JSON record would not print."""
+        monkeypatch.setenv("VISITPROB_ENUM_GUARD", "20000")
+        census = ["oracle", "--census", *GENERIC, "--n", n, "--k", k]
+        census += ["--initial", "1", "--final", "0"]
+        code, out, err = run_cli(capsys, *census, "--format", "json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["diagnostics"] == {"paths": paths, "cells": len(record["rows"])}
+        assert sum(r["count"] for r in record["rows"]) == paths
+        assert run_cli(capsys, *census)[1].endswith(f"  total paths: {paths}\n")
+
     def test_distribution_past_the_recursion_depth_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("VISITPROB_ENUM_GUARD", "2000")
         code, out, err = run_cli(capsys, "oracle", *GENERIC, "--n", "1500")

@@ -928,6 +928,48 @@ class TestExactReduction:
             assert list(map(fraction_parts, got)) == list(map(fraction_parts, want))
 
 
+def branch_assembled_masses(ev):
+    """{k: raw P(N1 = k)} for 0 < k < n through the eight branch values:
+    ``_pair`` over term-ratio pair sums, then ``_by_start`` and ``_mass`` for
+    each k, the assembly of a single k."""
+    n = ev.n
+    masses = {}
+    for m in range(1, n // 2 + 1):
+        ks = (m, n - m) if 2 * m < n else (m,)
+        masses.update(zip(ks, (ev._mass(ev._by_start(branches)) for branches in ev._pair(ks))))
+    return masses
+
+
+# X = P01*P10 and Y = P00*P11 zero or equal, and a sure initial state.
+FACTORED_CHAINS = {
+    "generic": GENERIC,
+    "skewed": SKEWED,
+    "X=0": (0, "2/5", "1/3"),
+    "Y=0": (1, "2/5", "1/3"),
+    "X=Y": ("1/1000", "999/1000", "1/2"),
+    "p1=0": ("3/10", "2/5", 0),
+    "p1=1": ("13/97", "41/89", 1),
+}
+
+
+class TestFactoredMasses:
+    """An EXACT distribution's pair masses, one full-size product each, are
+    the integers of the per-branch assembly at every interior k."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_chains, st.integers(min_value=1, max_value=60))
+    def test_factored_masses_equal_branch_assembly(self, chain, n):
+        ev = _Evaluator(chain, n)
+        assert _pair_masses(ev, range(1, n // 2 + 1)) == branch_assembled_masses(ev)
+
+    @pytest.mark.parametrize("params", list(FACTORED_CHAINS.values()), ids=list(FACTORED_CHAINS))
+    def test_factored_masses_equal_branch_assembly_on_named_chains(self, params):
+        chain = build_chain(*params)
+        for n in [*range(1, 61), 199, 200, 201, 400, 1000]:
+            ev = _Evaluator(chain, n)
+            assert _pair_masses(ev, range(1, n // 2 + 1)) == branch_assembled_masses(ev), n
+
+
 def raw_exact_masses(chain, n):
     """(raw numerator, w * d0**(n-k) * d1**k) of P(N1 = k) for k = 0..n,
     from the serial pair loop and the boundary assembly."""
